@@ -4,8 +4,10 @@ A topology compiler turns a declarative node/port config into a static
 per-topic network (direct links, arbiters, broadcasters, optional
 subscriber FIFOs); a message-definition flattener and framed codec handle
 the wire format; a threaded runtime executes the network with keep-all /
-reliable backpressure semantics; and a benchmark harness compares it
-against a double-copy baseline middleware emulation.
+reliable backpressure semantics, running each kernel-driven node in one
+thread and nothing else in a thread of its own (arbiters and broadcasters
+run in the publishing thread); and a benchmark harness compares it against
+a double-copy baseline middleware emulation.
 """
 
 from .msgdef import (

@@ -1,23 +1,28 @@
 """Threaded execution of a compiled topology.
 
-Every topic becomes a small static network of bounded single-producer,
-single-consumer word-stream channels: publisher ports feed either the lone
-subscriber directly, an arbiter (many publishers), or a broadcaster (many
-subscribers).  Frames travel as chunks of 32-bit words with an
-end-of-message marker on the final chunk; a frame's identity and send
-timestamps ride along as sideband metadata with that marker.
+Every topic becomes one bounded word-stream channel per subscriber port,
+and its publisher ports write straight into them.  The compiled arbiter and
+broadcaster run in the publishing thread: a publisher on a topic with
+several subscribers writes each chunk to every subscriber channel once all
+of them can take it whole (the broadcaster, paced by its slowest consumer),
+and the publishers of a topic with several publishers share a frame token,
+held from a frame's first word to its end-of-message marker (the arbiter:
+whole frames, round-robin under contention).  A topic with publishers but
+no subscriber keeps one unread channel, so reliable publishers block once it
+fills.  Frames travel as chunks of 32-bit words with an end-of-message
+marker on the final chunk; a frame's identity and send timestamps ride
+along as sideband metadata with that marker.
 
 Delivery follows keep-all/reliable semantics throughout: a full buffer
-blocks the writer, nothing is dropped, and infrastructure forwards only
-complete frames (the arbiter never interleaves two frames, the broadcaster
-is paced by its slowest consumer).  Blocking operations park on per-context
-events rather than spinning; shutdown closes every channel, which wakes and
-fails all parked operations and discards partial frames.
+blocks the writer and nothing is dropped.  Blocking operations park on
+per-context events rather than spinning; shutdown closes every channel and
+token, which wakes and fails all parked operations and discards partial
+frames.
 
-Execution contexts: one thread per kernel-driven node, per arbiter, and per
-broadcaster.  Nodes run in one of two modes: ``sequential`` (take whole
-messages, compute, publish) or ``dataflow`` (the body streams chunks through
-the node, overlapping receive, compute, and send).  Nodes mapped to the
+Execution contexts: one thread per kernel-driven node and nothing else.
+Nodes run in one of two modes: ``sequential`` (take whole messages,
+compute, publish) or ``dataflow`` (the body streams chunks through the
+node, overlapping receive, compute, and send).  Nodes mapped to the
 EXTERNAL kernel get no thread; their ports are driven by the caller.
 """
 
@@ -48,37 +53,10 @@ class StopKernel(Exception):
     """A kernel body raises this to stop its own node cleanly."""
 
 
-class Waker:
-    """Parking spot for one blocked execution context.
-
-    Exactly one thread may wait on a Waker; any number may ``set`` it.  The
-    lost-wakeup-safe pattern is: check state, ``clear``, re-check state,
-    ``wait``.  ``spin_ns`` polls the flag for that long before parking,
-    trading CPU for wake latency on hot paths; the wait still parks after
-    the spin window (no indefinite spinning).
-    """
-
-    __slots__ = ("_event", "spin_ns")
-
-    def __init__(self, spin_ns: int = 0):
-        self._event = threading.Event()
-        self.spin_ns = spin_ns
-
-    def set(self) -> None:
-        self._event.set()
-
-    def clear(self) -> None:
-        self._event.clear()
-
-    def wait(self) -> None:
-        if self.spin_ns:
-            deadline = time.perf_counter_ns() + self.spin_ns
-            is_set = self._event.is_set
-            while not is_set():
-                time.sleep(0)  # yield so the spin never starves other threads
-                if time.perf_counter_ns() >= deadline:
-                    break
-        self._event.wait()
+# Parking spot for one blocked execution context.  Exactly one thread may
+# wait on a Waker; any number may ``set`` it.  The lost-wakeup-safe pattern
+# is: check state, ``clear``, re-check state, ``wait``.
+Waker = threading.Event
 
 
 class GrowBuffer:
@@ -139,6 +117,9 @@ class FrameTimes:
 class StreamChannel:
     """Bounded SPSC stream of 32-bit words with end-of-message markers.
 
+    Single producer: a topic's publishers may share the channel, but its
+    FrameToken lets only one of them write at a time.
+
     Capacity is counted in words; a frame's marker is sideband and consumes
     no capacity, so zero-word (empty-message) frames always fit.  ``close``
     makes every subsequent operation raise ShutdownError and discards any
@@ -176,6 +157,8 @@ class StreamChannel:
 
     def free_words(self) -> int:
         with self._lock:
+            if self._closed:
+                raise ShutdownError(f"channel {self.name} is closed")
             return self.capacity_words - self._words
 
     def write_some(self, data, last: bool, meta: FrameMeta | None = None) -> int:
@@ -233,10 +216,6 @@ class StreamChannel:
 
     # -- consumer side ----------------------------------------------------
 
-    def readable(self) -> bool:
-        with self._lock:
-            return len(self._chunks) > 0
-
     def frames_buffered(self) -> int:
         with self._lock:
             return self._frames
@@ -288,6 +267,59 @@ class StreamChannel:
                 self.writer_waker.set()
 
 
+class FrameToken:
+    """The arbiter of a topic with several publishers.
+
+    A publisher holds the token from a frame's first word to its
+    end-of-message marker, so frames never interleave.  ``release`` hands
+    the token straight to the longest-waiting publisher, which gives
+    round-robin service under contention.  ``close`` fails every waiting
+    and later ``acquire`` with ShutdownError.
+    """
+
+    __slots__ = ("name", "_lock", "_holder", "_waiters", "_closed")
+
+    def __init__(self, name: str = ""):
+        self.name = name
+        self._lock = threading.Lock()
+        self._holder: Waker | None = None
+        self._waiters: deque[Waker] = deque()
+        self._closed = False
+
+    def acquire(self, waker: Waker, blocking: bool = True) -> bool:
+        """Take the token, parking on ``waker``; False if held and not ``blocking``."""
+        with self._lock:
+            if self._closed:
+                raise ShutdownError(f"topic {self.name} is shut down")
+            if self._holder is None:
+                self._holder = waker
+                return True
+            if not blocking:
+                return False
+            waker.clear()
+            self._waiters.append(waker)
+        while True:
+            waker.wait()
+            with self._lock:
+                if self._holder is waker:
+                    return True
+                if self._closed:
+                    raise ShutdownError(f"topic {self.name} is shut down")
+                waker.clear()
+
+    def release(self) -> None:
+        with self._lock:
+            self._holder = self._waiters.popleft() if self._waiters else None
+            if self._holder is not None:
+                self._holder.set()
+
+    def close(self) -> None:
+        with self._lock:
+            self._closed = True
+            for waker in self._waiters:
+                waker.set()
+
+
 class TraceLog:
     """Thread-safe collector of per-frame delivery events."""
 
@@ -331,6 +363,11 @@ class PortHandle:
     read_chunk) expose the word stream for dataflow kernels.  Do not mix the
     two levels within one frame.  ``last_times`` holds the timestamps of the
     most recently completed frame on this port.
+
+    ``channels`` are the channels the port moves words through: a
+    subscriber's own FIFO, or every subscriber FIFO of a publisher's topic.
+    ``channel`` is the first of them.  ``token`` is the topic's FrameToken
+    when it has several publishers.
     """
 
     def __init__(
@@ -340,23 +377,27 @@ class PortHandle:
         node: str,
         port_name: str,
         plan: SerializationPlan,
-        channel: StreamChannel,
+        channels: list[StreamChannel],
         clock: Clock,
         trace: TraceLog | None,
+        token: FrameToken | None = None,
     ):
         self.direction = direction
         self.topic = topic
         self.node = node
         self.port_name = port_name
         self.plan = plan
-        self.channel = channel
+        self.channels = tuple(channels)
+        self.channel = self.channels[0]
+        self._token = token
         self._clock = clock
         self._trace = trace
         self.waker = Waker()
-        if direction == PUB:
-            channel.writer_waker = self.waker
-        else:
-            channel.reader_waker = self.waker
+        if direction == SUB:
+            self.channel.reader_waker = self.waker
+        elif token is None:
+            for ch in self.channels:
+                ch.writer_waker = self.waker
         self._seq = 0
         self.last_times: FrameTimes | None = None
         # subscriber frame-reassembly state (persistent warm buffer + fill)
@@ -380,8 +421,29 @@ class PortHandle:
         self._seq += 1
         return meta
 
+    def _take_token(self, blocking: bool = True) -> bool:
+        """Hold the topic's frame token, if it has one.
+
+        The holder is the channels' only writer, so their space wake-ups
+        are routed to it.
+        """
+        if self._token is None:
+            return True
+        if not self._token.acquire(self.waker, blocking):
+            return False
+        for ch in self.channels:
+            ch.writer_waker = self.waker
+        return True
+
+    def _give_token(self) -> None:
+        if self._token is not None:
+            self._token.release()
+
     def _push(self, payload, last: bool, meta: FrameMeta) -> None:
         """Blocking write of ``payload``; with ``last`` also pushes the marker."""
+        if len(self.channels) > 1:
+            self._broadcast(payload, last, meta)
+            return
         mv = memoryview(payload)
         offset = 0
         total = len(payload)
@@ -401,24 +463,66 @@ class PortHandle:
             if offset == before:
                 self.waker.wait()
 
+    def _broadcast(self, payload, last: bool, meta: FrameMeta) -> None:
+        """``_push`` to every channel, each chunk once all can take it whole.
+
+        This port is the channels' only writer, so their free space can only
+        grow between the check and the writes.
+        """
+        mv = memoryview(payload)
+        offset = 0
+        total = len(payload)
+        while True:
+            room = min(ch.free_words() for ch in self.channels)
+            if room == 0 and offset < total:
+                self.waker.clear()
+                if min(ch.free_words() for ch in self.channels) == 0:
+                    self.waker.wait()
+                continue
+            end = min(total, offset + 4 * room)
+            piece = mv[offset:end]
+            final = last and end == total
+            for ch in self.channels:
+                accepted = ch.write_some(piece, final, meta)
+                assert accepted * 4 == len(piece), "a checked chunk must fit whole"
+            offset = end
+            if offset == total:
+                return
+
     def publish_blocking(self, value: MessageValue) -> None:
         """Send one message; returns after the last word is accepted downstream."""
         self._require(PUB)
         frame = serialize(value, self.plan)
         meta = self._new_meta()
-        self._push(frame.payload, True, meta)
+        self._take_token()
+        try:
+            self._push(frame.payload, True, meta)
+        finally:
+            self._give_token()
         self.last_times = FrameTimes(
             meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
         )
 
     def publish_try(self, value: MessageValue) -> bool:
-        """Send only if the whole frame fits downstream right now."""
+        """Send only if the whole frame fits downstream right now.
+
+        Returns False without sending while another publisher of the topic
+        is mid-frame.
+        """
         self._require(PUB)
         frame = serialize(value, self.plan)
-        meta = FrameMeta(self.topic, self.node, self._seq)
-        if not self.channel.try_write_frame(frame.payload, meta):
+        if not self._take_token(blocking=False):
             return False
-        self._seq += 1
+        try:
+            need = len(frame.payload) // 4
+            if any(ch.free_words() < need for ch in self.channels):
+                return False
+            meta = self._new_meta()
+            for ch in self.channels:
+                accepted = ch.try_write_frame(frame.payload, meta)
+                assert accepted, "a checked frame must fit whole"
+        finally:
+            self._give_token()
         self.last_times = FrameTimes(
             meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
         )
@@ -429,10 +533,12 @@ class PortHandle:
 
         Bytes are carried at word granularity: a sub-word tail is held back
         until more data arrives, and the final chunk is zero-padded to a
-        word boundary.
+        word boundary.  The port holds the topic's frame token from the
+        frame's first call to its ``last`` one.
         """
         self._require(PUB)
         if self._tx_meta is None:
+            self._take_token()
             self._tx_meta = self._new_meta()
         self._tx_tail += data
         if last:
@@ -445,8 +551,14 @@ class PortHandle:
         meta = self._tx_meta
         if last:
             self._tx_meta = None
-        self._push(payload, last, meta)
+        try:
+            self._push(payload, last, meta)
+        except BaseException:
+            self._tx_meta = None  # the frame is abandoned
+            self._give_token()
+            raise
         if last:
+            self._give_token()
             self.last_times = FrameTimes(
                 meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
             )
@@ -596,8 +708,6 @@ class RuntimeConfig:
     max_message_bytes: int | None = None
     trace: bool = False
     clock: Clock = time.perf_counter_ns
-    # spin window of arbiter/broadcaster wakers before parking (bench knob)
-    infra_spin_ns: int = 0
 
 
 @dataclass
@@ -607,7 +717,12 @@ class KernelFault:
 
 
 class RuntimeInstance:
-    """A startable set of node, arbiter, and broadcaster contexts."""
+    """A startable set of node contexts over a topology's channels.
+
+    Each kernel-driven node runs one thread and nothing else does: arbiters
+    and broadcasters run in the publishing thread, and EXTERNAL nodes in the
+    caller's.
+    """
 
     def __init__(self, graph: TopologyGraph, config: RuntimeConfig):
         self.graph = graph
@@ -616,6 +731,7 @@ class RuntimeInstance:
         self.faults: list[KernelFault] = []
         self._ports: dict[tuple[str, str], PortHandle] = {}
         self._channels: list[StreamChannel] = []
+        self._tokens: list[FrameToken] = []
         self._contexts: list[tuple[str, Callable[[], None]]] = []
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
@@ -655,14 +771,16 @@ class RuntimeInstance:
         return self
 
     def shutdown(self) -> None:
-        """Close all channels, fail every parked operation, join contexts.
+        """Close all channels and tokens, fail every parked operation, join contexts.
 
         Idempotent; partial frames in flight are discarded, never delivered.
+        The joins share one 10 s deadline.
         """
         self._abort()
+        deadline = time.monotonic() + 10.0
         for t in self._threads:
             if t is not threading.current_thread():
-                t.join(timeout=10.0)
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
 
     def _abort(self) -> None:
         with self._lock:
@@ -671,6 +789,8 @@ class RuntimeInstance:
             self._closed = True
         for ch in self._channels:
             ch.close()
+        for token in self._tokens:
+            token.close()
 
     @property
     def closed(self) -> bool:
@@ -714,81 +834,6 @@ class RuntimeInstance:
             self._record_fault(node, e)
 
 
-def _forward_frame(src: StreamChannel, dst: StreamChannel, waker: Waker) -> None:
-    """Move exactly one complete frame from src to dst, chunk by chunk.
-
-    Reads are sized by the destination's free space, so the forwarder never
-    holds words it cannot immediately deliver.
-    """
-    while True:
-        res = src.read_some(max_words=dst.free_words())
-        if res is None:
-            waker.clear()
-            res = src.read_some(max_words=dst.free_words())
-            if res is None:
-                waker.wait()
-                continue
-        data, last, meta = res
-        accepted = dst.write_some(data, last, meta)
-        assert accepted * 4 == len(data), "sized read must be fully accepted"
-        if last:
-            return
-
-
-def run_arbiter(inputs: list[StreamChannel], output: StreamChannel, waker: Waker) -> None:
-    """Merge inputs into output at frame granularity until shutdown.
-
-    Ready inputs are serviced round-robin starting after the last serviced
-    index; once a frame starts forwarding, it finishes before any other
-    input is looked at.
-    """
-    if len(inputs) < 2:
-        raise ValueError("an arbiter needs at least two inputs")
-    last_serviced = -1
-    n = len(inputs)
-    try:
-        while True:
-            chosen = None
-            waker.clear()
-            for k in range(1, n + 1):
-                i = (last_serviced + k) % n
-                if inputs[i].readable():
-                    chosen = i
-                    break
-            if chosen is None:
-                waker.wait()
-                continue
-            last_serviced = chosen
-            _forward_frame(inputs[chosen], output, waker)
-    except ShutdownError:
-        pass
-
-
-def run_broadcaster(inp: StreamChannel, outputs: list[StreamChannel], waker: Waker) -> None:
-    """Replicate every frame to every output, in order, until shutdown.
-
-    A chunk is read only once every output can accept it whole (slowest-
-    consumer pacing), so per-word backpressure propagates upstream.
-    """
-    if len(outputs) < 2:
-        raise ValueError("a broadcaster needs at least two outputs")
-    try:
-        while True:
-            res = inp.read_some(max_words=min(o.free_words() for o in outputs))
-            if res is None:
-                waker.clear()
-                res = inp.read_some(max_words=min(o.free_words() for o in outputs))
-                if res is None:
-                    waker.wait()
-                    continue
-            data, last, meta = res
-            for out in outputs:
-                accepted = out.write_some(data, last, meta)
-                assert accepted * 4 == len(data), "sized read must be fully accepted"
-    except ShutdownError:
-        pass
-
-
 def _fifo_capacity_words(
     plan: SerializationPlan, depth: int, config: RuntimeConfig, topic: str
 ) -> int:
@@ -819,10 +864,10 @@ def instantiate(
     inst = RuntimeInstance(graph, config)
     node_ports: dict[str, tuple[dict, dict]] = {}
 
-    def make_port(ref, direction, topic, plan, channel):
+    def make_port(ref, direction, topic, plan, channels, token=None):
         port = PortHandle(
-            direction, topic, ref.node, f"{direction}_{topic}", plan, channel,
-            config.clock, inst.trace,
+            direction, topic, ref.node, f"{direction}_{topic}", plan, channels,
+            config.clock, inst.trace, token,
         )
         inst._ports[(ref.node, port.port_name)] = port
         subs, pubs = node_ports.setdefault(ref.node, ({}, {}))
@@ -830,57 +875,26 @@ def instantiate(
 
     for tp in graph.topics:
         plan = graph.plans[tp.topic]
-        cap = config.default_capacity_words
-
-        def sub_channel(ref):
+        channels = []
+        for ref in tp.subscribers:
             words = (
                 _fifo_capacity_words(plan, ref.fifo_depth, config, tp.topic)
                 if ref.fifo_depth is not None
-                else cap
+                else config.default_capacity_words
             )
-            return inst._new_channel(words, f"{tp.topic}->{ref.node}")
-
-        n_pub, n_sub = len(tp.publishers), len(tp.subscribers)
-        pub_chs = []
-        if n_pub > 1:
-            for p in tp.publishers:
-                ch = inst._new_channel(cap, f"{p.node}->{tp.topic}")
-                pub_chs.append(ch)
-                make_port(p, PUB, tp.topic, plan, ch)
-            if n_sub > 1:
-                trunk = inst._new_channel(cap, f"{tp.topic}.trunk")
-                _wire_arbiter(inst, tp.topic, pub_chs, trunk)
-                downstream_src = trunk
-            elif n_sub == 1:
-                out = sub_channel(tp.subscribers[0])
-                make_port(tp.subscribers[0], SUB, tp.topic, plan, out)
-                _wire_arbiter(inst, tp.topic, pub_chs, out)
-                continue
-            else:
-                _wire_arbiter(
-                    inst, tp.topic, pub_chs, inst._new_channel(cap, f"{tp.topic}.sink")
-                )
-                continue
-        else:
-            if n_sub == 1:
-                # direct link (or subscriber-only orphan)
-                ch = sub_channel(tp.subscribers[0])
-                if n_pub == 1:
-                    make_port(tp.publishers[0], PUB, tp.topic, plan, ch)
-                make_port(tp.subscribers[0], SUB, tp.topic, plan, ch)
-                continue
-            downstream_src = inst._new_channel(cap, f"{tp.topic}.src")
-            if n_pub == 1:
-                make_port(tp.publishers[0], PUB, tp.topic, plan, downstream_src)
-            if n_sub == 0:
-                continue
-
-        sub_chs = []
-        for s in tp.subscribers:
-            ch = sub_channel(s)
-            sub_chs.append(ch)
-            make_port(s, SUB, tp.topic, plan, ch)
-        _wire_broadcaster(inst, tp.topic, downstream_src, sub_chs)
+            ch = inst._new_channel(words, f"{tp.topic}->{ref.node}")
+            channels.append(ch)
+            make_port(ref, SUB, tp.topic, plan, [ch])
+        if not tp.publishers:
+            continue
+        if not channels:  # unread: reliable publishers block once it fills
+            channels.append(inst._new_channel(config.default_capacity_words, f"{tp.topic}.sink"))
+        token = None
+        if len(tp.publishers) > 1:
+            token = FrameToken(tp.topic)
+            inst._tokens.append(token)
+        for ref in tp.publishers:
+            make_port(ref, PUB, tp.topic, plan, channels, token)
 
     for node in graph.nodes:
         kernel = kernels.get(node.kernel_id)
@@ -905,22 +919,3 @@ def instantiate(
         )
     return inst
 
-
-def _wire_arbiter(inst, topic, inputs, output) -> None:
-    waker = Waker(inst.config.infra_spin_ns)
-    for ch in inputs:
-        ch.reader_waker = waker
-    output.writer_waker = waker
-    inst._contexts.append(
-        (f"arbiter:{topic}", lambda: run_arbiter(list(inputs), output, waker))
-    )
-
-
-def _wire_broadcaster(inst, topic, inp, outputs) -> None:
-    waker = Waker(inst.config.infra_spin_ns)
-    inp.reader_waker = waker
-    for ch in outputs:
-        ch.writer_waker = waker
-    inst._contexts.append(
-        (f"broadcast:{topic}", lambda: run_broadcaster(inp, list(outputs), waker))
-    )

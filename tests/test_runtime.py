@@ -1,4 +1,5 @@
 import random
+import sys
 import threading
 import time
 from collections import Counter
@@ -6,6 +7,7 @@ from collections import Counter
 import pytest
 
 from streamdds.msgdef import TypeRegistry, parse_msg_file
+from streamdds.serde import serialize
 from streamdds.runtime import (
     DATAFLOW,
     EXTERNAL,
@@ -160,18 +162,30 @@ class TestPortsDirect:
             assert sub.take_blocking() == img(1)
             assert pub.publish_try(img(3))
 
-    def test_publish_try_no_partial_write(self, registry):
-        # capacity for half a message: nothing may be enqueued
+    @pytest.mark.parametrize(
+        "subs, prefill",
+        [
+            # capacity for half a message: nothing may be enqueued
+            ("node b\n sub T demo/Img\n", 0),
+            # b's FIFO is full, c's has room: neither may change
+            ("node b\n sub T demo/Img fifo=1\nnode c\n sub T demo/Img fifo=2\n", 1),
+        ],
+        ids=["half-message-link", "one-of-two-full"],
+    )
+    def test_publish_try_no_partial_write(self, registry, subs, prefill):
         inst = build(
-            "node a\n pub T demo/Img\nnode b\n sub T demo/Img\n",
+            "node a\n pub T demo/Img\n" + subs,
             registry,
-            {"a": EXTERNAL, "b": EXTERNAL},
+            {"a": EXTERNAL, "b": EXTERNAL, "c": EXTERNAL},
             default_capacity_words=2,
         )
         with inst:
             pub = inst.publisher("a", "T")
+            for i in range(prefill):
+                assert pub.publish_try(img(0, i))
+            before = [ch.buffered_words() for ch in inst.channels()]
             assert not pub.publish_try(img(1))
-            assert pub.channel.buffered_words() == 0
+            assert [ch.buffered_words() for ch in inst.channels()] == before
 
     def test_take_try(self, registry):
         inst = build(
@@ -269,45 +283,65 @@ class TestBackpressure:
 
 
 class TestArbiter:
-    def test_integrity_and_multiset(self, registry):
+    # at 4 words per link every frame above 12 payload bytes streams in chunks
+    @pytest.mark.parametrize("capacity", [64, 4], ids=["64w", "4w"])
+    @pytest.mark.parametrize("n_subs", [1, 3], ids=["1sub", "3sub"])
+    def test_integrity_and_multiset(self, registry, n_subs, capacity):
+        sinks = [f"c{k}" for k in range(n_subs)]
         cfg = (
             "node p1\n pub T demo/Blob\nnode p2\n pub T demo/Blob\n"
-            "node p3\n pub T demo/Blob\nnode c\n sub T demo/Blob\n"
-        )
+            "node p3\n pub T demo/Blob\n"
+        ) + "".join(f"node {c}\n sub T demo/Blob\n" for c in sinks)
         rng = random.Random(7)
         inst = build(
             cfg,
             registry,
-            {n: EXTERNAL for n in ("p1", "p2", "p3", "c")},
-            default_capacity_words=64,
+            {n: EXTERNAL for n in ("p1", "p2", "p3", *sinks)},
+            default_capacity_words=capacity,
         )
         with inst:
             pubs = [inst.publisher(f"p{i}", "T") for i in (1, 2, 3)]
-            sub = inst.subscriber("c", "T")
             n_each = 60
             payloads = {
                 i: [bytes([i]) + rng.randbytes(rng.randrange(0, 40)) for _ in range(n_each)]
                 for i in range(3)
             }
             def send(i):
-                for p in payloads[i]:
-                    pubs[i].publish_blocking({"data": p})
+                for k, p in enumerate(payloads[i]):
+                    if i == 2 and k % 2:
+                        # every other frame of p3 streams in 3 write_chunk calls
+                        frame = bytes(serialize({"data": p}, pubs[i].plan).payload)
+                        third = len(frame) // 3
+                        pubs[i].write_chunk(frame[:third])
+                        pubs[i].write_chunk(frame[third : 2 * third])
+                        pubs[i].write_chunk(frame[2 * third :], last=True)
+                    else:
+                        pubs[i].publish_blocking({"data": p})
             threads = [threading.Thread(target=send, args=(i,)) for i in range(3)]
-            got = []
-            collector = threading.Thread(
-                target=lambda: [got.append(sub.take_blocking()["data"]) for _ in range(3 * n_each)]
-            )
-            collector.start()
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            collector.join()
+            got = {c: [] for c in sinks}
+            def collect(c):
+                sub = inst.subscriber(c, "T")
+                for _ in range(3 * n_each):
+                    got[c].append(sub.take_blocking()["data"])
+            collectors = [threading.Thread(target=collect, args=(c,)) for c in sinks]
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)  # preempt often: interleavings show up
+            try:
+                for t in collectors + threads:
+                    t.start()
+                deadline = time.monotonic() + 10
+                for t in threads + collectors:
+                    t.join(timeout=max(0, deadline - time.monotonic()))
+                    assert not t.is_alive()
+            finally:
+                sys.setswitchinterval(switch)
+            first = got[sinks[0]]
+            assert all(got[c] == first for c in sinks)
             sent = Counter(p for ps in payloads.values() for p in ps)
-            assert Counter(got) == sent
+            assert Counter(first) == sent
             # per-publisher order is preserved
             for i in range(3):
-                stream_i = [g for g in got if g[0] == i]
+                stream_i = [g for g in first if g[0] == i]
                 assert stream_i == payloads[i]
 
     def test_single_active_input_passthrough(self, registry):
@@ -593,16 +627,25 @@ class TestNodesAndModes:
 
 
 class TestInstantiate:
-    def test_six_node_context_shape(self, six_node_config, img_registry):
+    def test_six_node_channel_shape(self, six_node_config, img_registry):
         graph = build_topology(parse_config(six_node_config), img_registry)
         kernels = {f"hw{i}": EXTERNAL for i in range(1, 7)}
         inst = instantiate(graph, kernels)
-        names = [name for name, _ in inst._contexts]
-        assert names.count("arbiter:A") == 1
-        assert sorted(n for n in names if n.startswith("broadcast")) == [
-            "broadcast:A",
-            "broadcast:B",
-        ]
+        # one channel per subscriber port; every publisher writes all of its topic's
+        sub_channels = {
+            "A": [inst.subscriber(n, "A").channel for n in ("hw4", "hw5", "hw6")],
+            "B": [inst.subscriber(n, "B").channel for n in ("hw1", "hw2")],
+        }
+        assert len(inst.channels()) == 5
+        assert {id(ch) for ch in inst.channels()} == {
+            id(ch) for chs in sub_channels.values() for ch in chs
+        }
+        for node in ("hw1", "hw2", "hw3"):
+            assert list(inst.publisher(node, "A").channels) == sub_channels["A"]
+        assert list(inst.publisher("hw5", "B").channels) == sub_channels["B"]
+        before = set(threading.enumerate())
+        with inst:
+            assert set(threading.enumerate()) == before
 
     def test_missing_kernel_names_node(self, img_registry):
         graph = build_topology(parse_config("node a\n pub T demo/Img\n"), img_registry)
@@ -641,23 +684,60 @@ class TestShutdown:
         inst.shutdown()
 
     def test_blocked_publisher_unblocked_with_error(self, registry):
-        inst = build("node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=1\n",
-                     registry, {"a": EXTERNAL, "b": EXTERNAL})
+        # with a second publisher, one blocks on the full FIFO holding the
+        # frame token and the other waits for the token
+        for publishers in (["a"], ["a", "a2"]):
+            cfg = "".join(f"node {p}\n pub T demo/Img\n" for p in publishers)
+            inst = build(cfg + "node b\n sub T demo/Img fifo=1\n",
+                         registry, {p: EXTERNAL for p in publishers + ["b"]})
+            inst.start()
+            pubs = [inst.publisher(p, "T") for p in publishers]
+            pubs[0].publish_blocking(img(1))
+            errors = []
+            def blocked(pub):
+                try:
+                    pub.publish_blocking(img(2))
+                except ShutdownError as e:
+                    errors.append(e)
+            threads = [threading.Thread(target=blocked, args=(p,)) for p in pubs]
+            for t in threads:
+                t.start()
+            time.sleep(0.1)
+            inst.shutdown()
+            for t in threads:
+                t.join(timeout=5)
+                assert not t.is_alive()
+            assert len(errors) == len(pubs)
+
+    def test_arbiter_topic_shuts_down_promptly(self, registry):
+        cfg = (
+            "node p1\n pub T demo/Img\nnode p2\n pub T demo/Img\n"
+            "node c1\n sub T demo/Img fifo=8\nnode c2\n sub T demo/Img fifo=8\n"
+        )
+
+        def three_frames(tag):
+            sent = [0]
+
+            def body(inputs):
+                if sent[0] == 3:
+                    raise StopKernel()
+                sent[0] += 1
+                return {"T": img(tag, sent[0])}
+
+            return NodeKernel(f"p{tag}", SEQUENTIAL, body)
+
+        inst = build(cfg, registry, {"p1": three_frames(1), "p2": three_frames(2),
+                                     "c1": EXTERNAL, "c2": EXTERNAL})
+        before = set(threading.enumerate())
         inst.start()
-        pub = inst.publisher("a", "T")
-        pub.publish_blocking(img(1))
-        errors = []
-        def blocked():
-            try:
-                pub.publish_blocking(img(2))
-            except ShutdownError as e:
-                errors.append(e)
-        t = threading.Thread(target=blocked)
-        t.start()
-        time.sleep(0.1)
+        started = set(threading.enumerate()) - before
+        for c in ("c1", "c2"):
+            sub = inst.subscriber(c, "T")
+            assert len([sub.take_blocking() for _ in range(6)]) == 6
+        t0 = time.monotonic()
         inst.shutdown()
-        t.join()
-        assert errors
+        assert time.monotonic() - t0 < 1.0
+        assert not [t.name for t in started if t.is_alive()]
 
     def test_publish_after_shutdown(self, registry):
         inst = build("node a\n pub T demo/Img\nnode b\n sub T demo/Img\n",
