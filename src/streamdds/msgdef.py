@@ -16,7 +16,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
+
+if TYPE_CHECKING:
+    from .serde import Codec
 
 PRIMITIVE_WIDTHS: dict[str, int] = {
     "bool": 1,
@@ -392,12 +395,14 @@ class SerializationPlan:
     """Flattened wire layout of a message type.
 
     ``fixed_size_bytes`` is present only when no slot is dynamic, and then
-    equals the sum of all slot widths (pre-padding).
+    equals the sum of all slot widths (pre-padding).  ``codec`` is the
+    plan compiled for ``serde.serialize`` and ``serde.deserialize``.
     """
 
     type_name: str
     slots: tuple[Slot, ...]
     fixed_size_bytes: int | None
+    codec: Codec = field(compare=False, repr=False)
 
     @property
     def is_fixed_size(self) -> bool:
@@ -438,7 +443,7 @@ def _expand(registry: TypeRegistry, type_name: str, prefix: str) -> list[Slot]:
 
 
 def flatten(registry: TypeRegistry, type_name: str) -> SerializationPlan:
-    """Expand a registered type depth-first into its serialization plan."""
+    """Expand a registered type depth-first into its compiled serialization plan."""
     if not registry.resolved:
         raise TypeResolutionError("registry must be resolved before flattening")
     slots = tuple(_expand(registry, type_name, ""))
@@ -449,4 +454,9 @@ def flatten(registry: TypeRegistry, type_name: str) -> SerializationPlan:
             fixed = None
             break
         fixed += width
-    return SerializationPlan(type_name, slots, fixed)
+    return SerializationPlan(type_name, slots, fixed, _serde.Codec(slots))
+
+
+# serde imports the names above, so it is imported last; flatten looks its
+# Codec up when called
+from . import serde as _serde  # noqa: E402

@@ -240,6 +240,9 @@ def build_topology(
 ) -> TopologyGraph:
     """Group ports per topic and attach each topic's serialization plan.
 
+    Each message type is flattened, and its codec compiled, once; topics of
+    the same type share that plan.
+
     With ``strict`` (default), a message-type mismatch among a topic's ports
     raises TopologyError; with ``strict=False`` the graph is still built (the
     first publisher's type wins) so ``validate`` can report the mismatch.
@@ -261,6 +264,7 @@ def build_topology(
 
     topics: list[TopicPlan] = []
     plans: dict[str, SerializationPlan] = {}
+    by_type: dict[str, SerializationPlan] = {}
     for name in order:
         refs = pubs[name] + subs[name]
         types = {r.msg_type for r in refs}
@@ -283,7 +287,9 @@ def build_topology(
                 structure=structure_for(len(pubs[name]), len(subs[name])),
             )
         )
-        plans[name] = flatten(registry, msg_type)
+        if msg_type not in by_type:
+            by_type[msg_type] = flatten(registry, msg_type)
+        plans[name] = by_type[msg_type]
 
     return TopologyGraph(tuple(topics), plans, spec.nodes)
 

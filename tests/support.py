@@ -161,6 +161,43 @@ def count_slots_oracle(registry: TypeRegistry, type_name: str) -> int:
     return total
 
 
+_WIRE_CODES = {
+    "bool": "?", "int8": "b", "uint8": "B", "int16": "h", "uint16": "H", "int32": "i",
+    "uint32": "I", "int64": "q", "uint64": "Q", "float32": "f", "float64": "d",
+}
+
+
+def reference_frame(registry: TypeRegistry, type_name: str, value: dict) -> bytes:
+    """Wire bytes of ``value`` by direct recursion over the type definitions.
+
+    One field and one element at a time, without serialization plans:
+    little-endian, packed, uint32 counts before dynamic arrays, utf-8
+    strings behind a uint32 byte length, zero padding to a word.
+    """
+    out = bytearray()
+
+    def one(type_name: str, v) -> None:
+        nonlocal out
+        if type_name == "string":
+            data = v.encode("utf-8")
+            out += struct.pack("<I", len(data)) + data
+        elif type_name in _WIRE_CODES:
+            out += struct.pack("<" + _WIRE_CODES[type_name], v)
+        else:
+            for f in registry.get(type_name).fields:
+                fv = v[f.name]
+                if f.arity.kind == Arity.SCALAR:
+                    one(f.type_name, fv)
+                    continue
+                if f.arity.is_dynamic:
+                    out += struct.pack("<I", len(fv))
+                for item in fv:  # bytes iterate as ints, packed as uint8
+                    one(f.type_name, item)
+
+    one(type_name, value)
+    return bytes(out + bytes(-len(out) % 4))
+
+
 def two_pass_stats(samples):
     """Reference mean / population sigma via numpy."""
     import numpy as np

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from contextlib import contextmanager
 
 import pytest
 
@@ -40,6 +41,35 @@ def registry():
 
 def img(tag: int, seq: int = 0) -> dict:
     return {"data": bytes([tag, seq % 256]) + bytes(14)}
+
+
+# Every blocking wait in these tests ends by this deadline, so a delivery
+# fault fails its test instead of hanging the run.
+DEADLINE_S = 10.0
+
+
+@contextmanager
+def watchdog(inst, seconds: float = DEADLINE_S):
+    """Shut ``inst`` down if the block is still running after ``seconds``.
+
+    ``shutdown()`` fails every parked take and publish with ShutdownError.
+    """
+    timer = threading.Timer(seconds, inst.shutdown)
+    timer.start()
+    try:
+        yield
+    finally:
+        timer.cancel()
+        timer.join()
+
+
+def join_all(threads, seconds: float = DEADLINE_S) -> None:
+    """Join ``threads`` against one shared deadline; fail if any still runs."""
+    deadline = time.monotonic() + seconds
+    for t in threads:
+        t.join(timeout=max(0.0, deadline - time.monotonic()))
+    alive = [t.name for t in threads if t.is_alive()]
+    assert not alive, f"still running after {seconds} s: {alive}"
 
 
 class TestStreamChannel:
@@ -111,13 +141,13 @@ class TestPortsDirect:
             {"a": EXTERNAL, "b": EXTERNAL},
             default_capacity_words=8,
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
             out = []
             t = threading.Thread(target=lambda: out.append(sub.take_blocking()))
             t.start()
             pub.publish_blocking(img(7))
-            t.join()
+            join_all([t])
             assert out[0] == img(7)
 
     def test_rendezvous_on_one_word_wire(self, registry):
@@ -127,13 +157,13 @@ class TestPortsDirect:
             registry,
             {"a": EXTERNAL, "b": EXTERNAL},
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
             out = []
             t = threading.Thread(target=lambda: out.append(sub.take_blocking()))
             t.start()
             pub.publish_blocking(img(1))
-            t.join()
+            join_all([t])
             assert out[0] == img(1)
 
     def test_fifo_ordering(self, registry):
@@ -142,7 +172,7 @@ class TestPortsDirect:
             registry,
             {"a": EXTERNAL, "b": EXTERNAL},
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
             for i in range(3):
                 pub.publish_blocking(img(1, i))
@@ -155,7 +185,7 @@ class TestPortsDirect:
             registry,
             {"a": EXTERNAL, "b": EXTERNAL},
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
             assert pub.publish_try(img(1))
             assert not pub.publish_try(img(2))  # full FIFO: refused, unchanged
@@ -193,7 +223,7 @@ class TestPortsDirect:
             registry,
             {"a": EXTERNAL, "b": EXTERNAL},
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
             assert sub.take_try() is None
             pub.publish_blocking(img(1))
@@ -206,7 +236,7 @@ class TestPortsDirect:
             registry,
             {"a": EXTERNAL, "b": EXTERNAL},
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
             pub.write_chunk(bytes(8), last=False)  # half a frame on the wire
             assert sub.take_try() is None
@@ -246,7 +276,7 @@ class TestBackpressure:
             registry,
             {"a": EXTERNAL, "b": EXTERNAL},
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
             completed = []
             def run():
@@ -264,7 +294,7 @@ class TestBackpressure:
             time.sleep(0.15)
             assert len(completed) == depth + 1
             inst.shutdown()
-            t.join()
+            join_all([t])
 
     def test_no_loss_after_drain(self, registry):
         inst = build(
@@ -272,13 +302,13 @@ class TestBackpressure:
             registry,
             {"a": EXTERNAL, "b": EXTERNAL},
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
             n = 10
             t = threading.Thread(target=lambda: [pub.publish_blocking(img(1, i)) for i in range(n)])
             t.start()
             got = [sub.take_blocking()["data"][1] for _ in range(n)]
-            t.join()
+            join_all([t])
             assert got == list(range(n))
 
 
@@ -299,7 +329,7 @@ class TestArbiter:
             {n: EXTERNAL for n in ("p1", "p2", "p3", *sinks)},
             default_capacity_words=capacity,
         )
-        with inst:
+        with inst, watchdog(inst):
             pubs = [inst.publisher(f"p{i}", "T") for i in (1, 2, 3)]
             n_each = 60
             payloads = {
@@ -329,10 +359,7 @@ class TestArbiter:
             try:
                 for t in collectors + threads:
                     t.start()
-                deadline = time.monotonic() + 10
-                for t in threads + collectors:
-                    t.join(timeout=max(0, deadline - time.monotonic()))
-                    assert not t.is_alive()
+                join_all(threads + collectors)
             finally:
                 sys.setswitchinterval(switch)
             first = got[sinks[0]]
@@ -348,7 +375,7 @@ class TestArbiter:
         cfg = "node p1\n pub T demo/Img\nnode p2\n pub T demo/Img\nnode c\n sub T demo/Img\n"
         inst = build(cfg, registry, {n: EXTERNAL for n in ("p1", "p2", "c")},
                      default_capacity_words=16)
-        with inst:
+        with inst, watchdog(inst):
             pub = inst.publisher("p1", "T")
             sub = inst.subscriber("c", "T")
             seq = []
@@ -358,14 +385,14 @@ class TestArbiter:
             collector.start()
             for i in range(5):
                 pub.publish_blocking(img(1, i))
-            collector.join()
+            join_all([collector])
             assert seq == [0, 1, 2, 3, 4]
 
     def test_round_robin_fairness(self, registry):
         cfg = "node p1\n pub T demo/Img\nnode p2\n pub T demo/Img\nnode c\n sub T demo/Img\n"
         inst = build(cfg, registry, {n: EXTERNAL for n in ("p1", "p2", "c")},
                      default_capacity_words=4)
-        with inst:
+        with inst, watchdog(inst):
             pubs = [inst.publisher(f"p{i}", "T") for i in (1, 2)]
             sub = inst.subscriber("c", "T")
             n_each = 500
@@ -383,8 +410,7 @@ class TestArbiter:
                 tag = sub.take_blocking()["data"][0]
                 counts[tag] += 1
                 max_skew = max(max_skew, abs(counts[0] - counts[1]))
-            for t in threads:
-                t.join()
+            join_all(threads)
             assert counts[0] == counts[1] == n_each
             assert max_skew <= 2  # one in-flight frame per side at the boundary
 
@@ -397,7 +423,7 @@ class TestBroadcaster:
         )
         inst = build(cfg, registry, {n: EXTERNAL for n in ("p", "c1", "c2", "c3")},
                      default_capacity_words=8)
-        with inst:
+        with inst, watchdog(inst):
             pub = inst.publisher("p", "T")
             subs = [inst.subscriber(f"c{i}", "T") for i in (1, 2, 3)]
             outs = [[] for _ in subs]
@@ -409,8 +435,7 @@ class TestBroadcaster:
                 t.start()
             for i in range(20):
                 pub.publish_blocking(img(0, i))
-            for t in threads:
-                t.join()
+            join_all(threads)
             assert all(o == list(range(20)) for o in outs)
 
     def test_slowest_consumer_backpressure(self, registry):
@@ -420,7 +445,7 @@ class TestBroadcaster:
             "node fast\n sub T demo/Img fifo=4\n"
         )
         inst = build(cfg, registry, {n: EXTERNAL for n in ("p", "slow", "fast")})
-        with inst:
+        with inst, watchdog(inst):
             pub = inst.publisher("p", "T")
             fast = inst.subscriber("fast", "T")
             slow = inst.subscriber("slow", "T")
@@ -459,8 +484,7 @@ class TestBroadcaster:
             assert len(fast_got) > stalled_fast
             stop.set()
             inst.shutdown()
-            sender.join()
-            drainer.join()
+            join_all([sender, drainer])
 
 
 class TestNodesAndModes:
@@ -473,7 +497,7 @@ class TestNodesAndModes:
         ident = NodeKernel("mid", SEQUENTIAL, lambda inputs: {"out": inputs["in"]})
         inst = build(cfg, registry, {"src": EXTERNAL, "dst": EXTERNAL, "mid": ident},
                      default_capacity_words=8)
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("src", "in"), inst.subscriber("dst", "out")
             for i in range(5):
                 pub.publish_blocking(img(3, i))
@@ -490,7 +514,7 @@ class TestNodesAndModes:
             cfg, registry, {"src": EXTERNAL, "dst": EXTERNAL, "mid": ident},
             default_capacity_words=4096, trace=True,
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("src", "in"), inst.subscriber("dst", "out")
             pub.publish_blocking({"data": bytes(8192)})
             sub.take_blocking()
@@ -525,14 +549,14 @@ class TestNodesAndModes:
             max_message_bytes=1 << 20,
             trace=True,
         )
-        with inst:
+        with inst, watchdog(inst):
             pub, sub = inst.publisher("src", "in"), inst.subscriber("dst", "out")
             payload = bytes(256 * 1024)
             got = []
             collector = threading.Thread(target=lambda: got.append(sub.take_blocking()))
             collector.start()
             pub.publish_blocking({"data": payload})
-            collector.join()
+            join_all([collector])
             assert got[0]["data"] == payload
             events = {e.topic: e for e in inst.trace.events()}
             assert events["out"].t_first_sent < events["in"].t_last_recv
@@ -570,7 +594,7 @@ class TestNodesAndModes:
                 cfg, reg, {"src": EXTERNAL, "dst": EXTERNAL, "mid": kernel},
                 default_capacity_words=128,
             )
-            with inst:
+            with inst, watchdog(inst):
                 pub, sub = inst.publisher("src", "in"), inst.subscriber("dst", "out")
                 got = []
                 collector = threading.Thread(
@@ -580,7 +604,7 @@ class TestNodesAndModes:
                 rng = random.Random(5)
                 for _ in range(3):
                     pub.publish_blocking({"data": rng.randbytes(1024)})
-                collector.join()
+                join_all([collector])
                 outputs[mode] = got
         assert outputs[SEQUENTIAL] == outputs[DATAFLOW]
 
@@ -597,7 +621,7 @@ class TestNodesAndModes:
         inst = build(cfg, registry, {"src": EXTERNAL, "dst": EXTERNAL,
                                      "mid": NodeKernel("mid", SEQUENTIAL, bad)},
                      default_capacity_words=8)
-        with inst:
+        with inst, watchdog(inst):
             pub = inst.publisher("src", "in")
             pub.publish_blocking(img(1))
             deadline = time.time() + 5
@@ -619,7 +643,7 @@ class TestNodesAndModes:
 
         inst = build(cfg, registry, {"src": NodeKernel("src", SEQUENTIAL, body),
                                      "dst": EXTERNAL})
-        with inst:
+        with inst, watchdog(inst):
             sub = inst.subscriber("dst", "out")
             got = [sub.take_blocking()["data"][1] for _ in range(3)]
             assert got == [1, 2, 3]
@@ -692,7 +716,8 @@ class TestShutdown:
                          registry, {p: EXTERNAL for p in publishers + ["b"]})
             inst.start()
             pubs = [inst.publisher(p, "T") for p in publishers]
-            pubs[0].publish_blocking(img(1))
+            with watchdog(inst):
+                pubs[0].publish_blocking(img(1))
             errors = []
             def blocked(pub):
                 try:
@@ -704,9 +729,7 @@ class TestShutdown:
                 t.start()
             time.sleep(0.1)
             inst.shutdown()
-            for t in threads:
-                t.join(timeout=5)
-                assert not t.is_alive()
+            join_all(threads, 5)
             assert len(errors) == len(pubs)
 
     def test_arbiter_topic_shuts_down_promptly(self, registry):
@@ -731,9 +754,10 @@ class TestShutdown:
         before = set(threading.enumerate())
         inst.start()
         started = set(threading.enumerate()) - before
-        for c in ("c1", "c2"):
-            sub = inst.subscriber(c, "T")
-            assert len([sub.take_blocking() for _ in range(6)]) == 6
+        with watchdog(inst):
+            for c in ("c1", "c2"):
+                sub = inst.subscriber(c, "T")
+                assert len([sub.take_blocking() for _ in range(6)]) == 6
         t0 = time.monotonic()
         inst.shutdown()
         assert time.monotonic() - t0 < 1.0
@@ -773,7 +797,7 @@ class TestShutdown:
         t.start()
         time.sleep(0.05)
         inst.shutdown()
-        t.join()
+        join_all([t])
         assert errors
 
 
@@ -784,7 +808,7 @@ class TestBackpressureSafety:
             "node c1\n sub T demo/Img fifo=2\nnode c2\n sub T demo/Img fifo=1\n"
         )
         inst = build(cfg, registry, {n: EXTERNAL for n in ("p", "c1", "c2")})
-        with inst:
+        with inst, watchdog(inst):
             pub = inst.publisher("p", "T")
             subs = [inst.subscriber("c1", "T"), inst.subscriber("c2", "T")]
             violations = []
@@ -804,10 +828,9 @@ class TestBackpressureSafety:
                 d.start()
             for i in range(30):
                 pub.publish_blocking(img(0, i))
-            for d in drains:
-                d.join()
+            join_all(drains)
             stop.set()
-            watcher.join()
+            join_all([watcher])
             assert violations == []
 
 
@@ -817,7 +840,7 @@ class TestTrace:
             "node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=2\n",
             registry, {"a": EXTERNAL, "b": EXTERNAL}, trace=True,
         )
-        with inst:
+        with inst, watchdog(inst):
             inst.publisher("a", "T").publish_blocking(img(1))
             inst.subscriber("b", "T").take_blocking()
             csv_text = inst.trace.to_csv()
@@ -835,7 +858,7 @@ class TestTrace:
             "node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=2\n",
             registry, {"a": EXTERNAL, "b": EXTERNAL}, trace=True,
         )
-        with inst:
+        with inst, watchdog(inst):
             inst.publisher("a", "T").publish_blocking(img(1))
             inst.subscriber("b", "T").take_blocking()
             out = tmp_path / "trace.csv"

@@ -16,7 +16,7 @@ from streamdds.serde import (
     serialize,
 )
 
-from support import mutate_value, random_registry, random_value
+from support import mutate_value, random_registry, random_value, reference_frame
 
 
 def plan_for(src: str, name: str = "t/M"):
@@ -71,6 +71,54 @@ class TestSerialize:
             serialize({"position": {"x": 1.0, "y": 2.0}, "orientation": [0.0] * 4}, plan)
         assert err.value.path == "position.z"
 
+    def test_missing_field_in_group_element_reports_full_path(self):
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("float32 x\nint16 y", "t/P"))
+        reg.register(parse_msg_file("P[<=3] more", "t/M"))
+        plan = flatten(reg.resolve(), "t/M")
+        with pytest.raises(SerializationError, match="missing field") as err:
+            serialize({"more": [{"x": 1.0, "y": 1}, {"y": 2}]}, plan)
+        assert err.value.path == "more[1].x"
+        with pytest.raises(SerializationError, match="int16") as err:
+            serialize({"more": [{"x": 1.0, "y": 1}, {"x": 2.0, "y": "s"}]}, plan)
+        assert err.value.path == "more[1].y"
+        with pytest.raises(SerializationError, match="expected nested value") as err:
+            serialize({"more": [{"x": 1.0, "y": 1}, 5]}, plan)
+        assert err.value.path == "more[1]"
+
+    def test_scalar_slot_rejects_list(self):
+        _, plan = plan_for("int16 v")
+        with pytest.raises(SerializationError, match="int16") as err:
+            serialize({"v": [1, 0]}, plan)
+        assert err.value.path == "v"
+
+    def test_bool_slot_rejects_list(self):
+        _, plan = plan_for("bool a\nbool b")
+        with pytest.raises(SerializationError, match="bool") as err:
+            serialize({"a": True, "b": [1, 0]}, plan)
+        assert err.value.path == "b"
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_fixed_nested_array_length_enforced(self, n):
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("int16 a\nfloat32 b", "t/P"))
+        reg.register(parse_msg_file("P[2] pts\nint8 tail", "t/M"))
+        plan = flatten(reg.resolve(), "t/M")
+        with pytest.raises(SerializationError, match="exactly 2") as err:
+            serialize({"pts": [{"a": 1, "b": 0.5}] * n, "tail": 0}, plan)
+        assert err.value.path == "pts"
+
+    @pytest.mark.parametrize("src, value", [
+        ("float32 v", {"v": 1e40}),
+        ("float32[2] v", {"v": [0.0, -1e40]}),
+        ("float32[] v", {"v": [1e40]}),
+    ])
+    def test_out_of_range_float(self, src, value):
+        _, plan = plan_for(src)
+        with pytest.raises(SerializationError, match="float32") as err:
+            serialize(value, plan)
+        assert err.value.path == "v"
+
     def test_bounded_overflow(self):
         _, plan = plan_for("int32[<=2] v")
         with pytest.raises(SerializationError, match="at most 2"):
@@ -103,6 +151,81 @@ class TestSerialize:
         assert bytes(frame.payload) == (
             b"\x02\x00\x00\x00" + b"\x01\x00\x00\x00" + b"\x02\x00\x00\x00" + b"\x09\x00\x00\x00"
         )
+
+
+GOLDEN_TYPES = {
+    "g/Header": "uint64 stamp\nstring frame_id",
+    "g/Detection": "float64 x\nfloat64 y\nfloat64 z\nfloat32 score\nuint16 class_id\nstring label",
+    "g/Tracks": "Header header\nuint32 sensor_id\nDetection[<=4] detections\nfloat32[9] covariance",
+    "g/Pt": "int16 a\nfloat32 b",
+    "g/Path": "uint8 tag\nPt[2] pts\nint8 tail",
+    "g/Blob": "uint8[] data\nuint8[3] fixed\nuint8[<=8] small",
+    "g/Flags": "bool a\nbool b\nbool c\nbool[3] more\nuint8 n",
+    "g/Nest": "Path[] paths\nstring[] names\nint64[<=3] ids",
+}
+
+# (value, its frame as hex): pinned from the slot-by-slot reference encoder
+GOLDEN_FRAMES = {
+    "g/Tracks": (
+        {
+            "header": {"stamp": 1234567890123, "frame_id": "lidar_0/tracks"},
+            "sensor_id": 7,
+            "detections": [
+                {"x": 1.5, "y": -2.25, "z": 0.125, "score": 0.75, "class_id": 3, "label": "car-12"},
+                {"x": -30.0, "y": 4.0, "z": 1.0, "score": 0.5, "class_id": 65535,
+                 "label": "pedestrian-é"},
+            ],
+            "covariance": [1.0, 0.0, 0.0, 0.0, 2.0, 0.0, 0.0, 0.0, -0.5],
+        },
+        "cb04fb711f0100000e0000006c696461725f302f747261636b7307000000020000000000"
+        "00000000f83f00000000000002c0000000000000c03f0000403f0300060000006361722d"
+        "31320000000000003ec00000000000001040000000000000f03f0000003fffff0d000000"
+        "7065646573747269616e2dc3a90000803f00000000000000000000000000000040000000"
+        "000000000000000000000000bf000000",
+    ),
+    "g/Path": (
+        {"tag": 9, "pts": [{"a": -1, "b": 1.5}, {"a": 300, "b": -0.25}], "tail": -3},
+        "09ffff0000c03f2c01000080befd0000",
+    ),
+    "g/Blob": (
+        {"data": b"\x01\x02\x03\x04\x05", "fixed": b"abc", "small": b"\xff\x00"},
+        "05000000010203040561626302000000ff000000",
+    ),
+    "g/Flags": (
+        {"a": True, "b": False, "c": True, "more": [False, True, True], "n": 200},
+        "010001000101c800",
+    ),
+    "g/Nest": (
+        {
+            "paths": [
+                {"tag": 1, "pts": [{"a": 2, "b": 3.0}, {"a": 4, "b": 5.0}], "tail": 6},
+                {"tag": 7, "pts": [{"a": 8, "b": 9.0}, {"a": 10, "b": 11.0}], "tail": 12},
+            ],
+            "names": ["", "xy", "世"],
+            "ids": [-(2**63), 2**63 - 1],
+        },
+        "020000000102000000404004000000a04006070800000010410a00000030410c0300000000"
+        "00000002000000787903000000e4b896020000000000000000000080ffffffffffffff7f"
+        "000000",
+    ),
+}
+
+
+class TestGoldenFrames:
+    @pytest.fixture(scope="class")
+    def registry(self):
+        reg = TypeRegistry()
+        for name, src in GOLDEN_TYPES.items():
+            reg.register(parse_msg_file(src, name))
+        return reg.resolve()
+
+    @pytest.mark.parametrize("type_name", sorted(GOLDEN_FRAMES))
+    def test_bytes_and_round_trip(self, registry, type_name):
+        plan = flatten(registry, type_name)
+        value, golden = GOLDEN_FRAMES[type_name]
+        frame = serialize(value, plan)
+        assert bytes(frame.payload).hex() == golden
+        assert deserialize(frame, plan) == value
 
 
 class TestDeserialize:
@@ -169,6 +292,15 @@ class TestRoundTrip:
         plan = flatten(registry, root)
         value = random_value(rng, registry, root)
         assert deserialize(serialize(value, plan), plan) == value
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_matches_reference_encoder(self, seed):
+        rng = random.Random(seed)
+        registry, root = random_registry(rng)
+        value = random_value(rng, registry, root)
+        frame = serialize(value, flatten(registry, root))
+        assert bytes(frame.payload) == reference_frame(registry, root, value)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
