@@ -13,11 +13,20 @@ fills.  Frames travel as chunks of 32-bit words with an end-of-message
 marker on the final chunk; a frame's identity and send timestamps ride
 along as sideband metadata with that marker.
 
+A published frame is streamed as the segments the codec emits, so a
+``bytes`` payload of a ``uint8`` array (from ``serde.VIEW_MIN_BYTES``, 1 MiB)
+reaches the subscriber channels as a view of the caller's object, never
+copied on the publishing side; ``bytearray`` and ``memoryview`` payloads
+are copied by the codec, because a publish returns once the channels
+accept the words, before the subscriber reads them.  The subscriber copies
+each chunk into its reassembly buffer and the codec copies byte arrays out
+of it.
+
 Delivery follows keep-all/reliable semantics throughout: a full buffer
-blocks the writer and nothing is dropped.  Blocking operations park on
-per-context events rather than spinning; shutdown closes every channel and
-token, which wakes and fails all parked operations and discards partial
-frames.
+blocks the writer and nothing is dropped.  Blocking operations park on a
+per-context ``Waker``, a bare lock, rather than spinning; shutdown closes
+every channel and token, which wakes and fails all parked operations and
+discards partial frames.
 
 Execution contexts: one thread per kernel-driven node and nothing else.
 Nodes run in one of two modes: ``sequential`` (take whole messages,
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .msgdef import SerializationPlan
-from .serde import Frame, MessageValue, deserialize, serialize
+from .serde import Frame, MessageValue, deserialize, serialize_segments
 from .topology import PUB, SUB, TopologyGraph
 
 Clock = Callable[[], int]
@@ -53,10 +62,36 @@ class StopKernel(Exception):
     """A kernel body raises this to stop its own node cleanly."""
 
 
-# Parking spot for one blocked execution context.  Exactly one thread may
-# wait on a Waker; any number may ``set`` it.  The lost-wakeup-safe pattern
-# is: check state, ``clear``, re-check state, ``wait``.
-Waker = threading.Event
+class Waker:
+    """Parking spot for one blocked execution context.
+
+    Exactly one thread may wait on a Waker; any number may ``set`` it.  The
+    lost-wakeup-safe pattern is: check state, ``clear``, re-check state,
+    ``wait``.  The Waker is a bare lock, held while it is clear: ``set``
+    releases it and ``wait`` blocks acquiring it, which costs far less than
+    an ``Event``'s condition variable.  ``wait`` returns with the Waker
+    clear again.  A Waker starts clear.
+    """
+
+    __slots__ = ("_lock",)
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._lock.acquire()
+
+    def set(self) -> None:
+        lock = self._lock
+        if lock.locked():
+            try:
+                lock.release()
+            except RuntimeError:  # a concurrent set() released it first
+                pass
+
+    def clear(self) -> None:
+        self._lock.acquire(False)
+
+    def wait(self) -> None:
+        self._lock.acquire()
 
 
 class GrowBuffer:
@@ -193,9 +228,13 @@ class StreamChannel:
                 self.reader_waker.set()
             return take
 
-    def try_write_frame(self, payload, meta: FrameMeta | None = None) -> bool:
-        """All-or-nothing enqueue of one whole frame."""
-        need = len(payload) // 4
+    def try_write_frame(self, *segments, meta: FrameMeta | None = None) -> bool:
+        """All-or-nothing enqueue of one whole frame, given as its segments.
+
+        Each segment must be a whole number of words; the marker (and
+        ``meta``) attach to the last.
+        """
+        need = sum(map(len, segments)) // 4
         with self._lock:
             if self._closed:
                 raise ShutdownError(f"channel {self.name} is closed")
@@ -207,7 +246,10 @@ class StreamChannel:
                     meta.t_first_sent = now
                 if meta.t_last_sent is None:
                     meta.t_last_sent = now
-            self._chunks.append((payload, True, meta))
+            *body, tail = segments
+            for segment in body:
+                self._chunks.append((segment, False, None))
+            self._chunks.append((tail, True, meta))
             self._words += need
             self._frames += 1
             if self.reader_waker is not None:
@@ -364,6 +406,12 @@ class PortHandle:
     two levels within one frame.  ``last_times`` holds the timestamps of the
     most recently completed frame on this port.
 
+    Publishing hands ``bytes`` to the channels by reference (a ``uint8``
+    array value from ``serde.VIEW_MIN_BYTES``, or a word-aligned
+    ``write_chunk``); other buffers are copied, since the caller may change
+    them once the call returns.  A
+    blocked port parks on its ``waker``, a bare lock.
+
     ``channels`` are the channels the port moves words through: a
     subscriber's own FIFO, or every subscriber FIFO of a publisher's topic.
     ``channel`` is the first of them.  ``token`` is the topic's FrameToken
@@ -407,7 +455,7 @@ class PortHandle:
         self._rx_first_t: int | None = None
         # publisher chunk-stream state
         self._tx_meta: FrameMeta | None = None
-        self._tx_tail = bytearray()
+        self._tx_tail = b""
 
     def _require(self, direction: str) -> None:
         if self.direction != direction:
@@ -439,11 +487,19 @@ class PortHandle:
         if self._token is not None:
             self._token.release()
 
-    def _push(self, payload, last: bool, meta: FrameMeta) -> None:
-        """Blocking write of ``payload``; with ``last`` also pushes the marker."""
-        if len(self.channels) > 1:
-            self._broadcast(payload, last, meta)
-            return
+    def _push(self, segments, last: bool, meta: FrameMeta) -> None:
+        """Blocking write of ``segments`` in order.
+
+        With ``last`` the final segment also pushes the marker.
+        """
+        write = self._broadcast if len(self.channels) > 1 else self._write
+        *body, tail = segments
+        for segment in body:
+            write(segment, False, meta)
+        write(tail, last, meta)
+
+    def _write(self, payload, last: bool, meta: FrameMeta) -> None:
+        """Blocking write of ``payload`` to the one channel."""
         mv = memoryview(payload)
         offset = 0
         total = len(payload)
@@ -464,7 +520,7 @@ class PortHandle:
                 self.waker.wait()
 
     def _broadcast(self, payload, last: bool, meta: FrameMeta) -> None:
-        """``_push`` to every channel, each chunk once all can take it whole.
+        """``_write`` to every channel, each chunk once all can take it whole.
 
         This port is the channels' only writer, so their free space can only
         grow between the check and the writes.
@@ -492,11 +548,11 @@ class PortHandle:
     def publish_blocking(self, value: MessageValue) -> None:
         """Send one message; returns after the last word is accepted downstream."""
         self._require(PUB)
-        frame = serialize(value, self.plan)
+        segments = serialize_segments(value, self.plan)
         meta = self._new_meta()
         self._take_token()
         try:
-            self._push(frame.payload, True, meta)
+            self._push(segments, True, meta)
         finally:
             self._give_token()
         self.last_times = FrameTimes(
@@ -510,16 +566,16 @@ class PortHandle:
         is mid-frame.
         """
         self._require(PUB)
-        frame = serialize(value, self.plan)
+        segments = serialize_segments(value, self.plan)
         if not self._take_token(blocking=False):
             return False
         try:
-            need = len(frame.payload) // 4
+            need = sum(map(len, segments)) // 4
             if any(ch.free_words() < need for ch in self.channels):
                 return False
             meta = self._new_meta()
             for ch in self.channels:
-                accepted = ch.try_write_frame(frame.payload, meta)
+                accepted = ch.try_write_frame(*segments, meta=meta)
                 assert accepted, "a checked frame must fit whole"
         finally:
             self._give_token()
@@ -533,26 +589,32 @@ class PortHandle:
 
         Bytes are carried at word granularity: a sub-word tail is held back
         until more data arrives, and the final chunk is zero-padded to a
-        word boundary.  The port holds the topic's frame token from the
+        word boundary.  A whole number of words given as ``bytes`` while no
+        tail is held goes to the channels by reference; anything else is
+        copied once.  The port holds the topic's frame token from the
         frame's first call to its ``last`` one.
         """
         self._require(PUB)
         if self._tx_meta is None:
             self._take_token()
             self._tx_meta = self._new_meta()
-        self._tx_tail += data
-        if last:
-            self._tx_tail += b"\x00" * ((-len(self._tx_tail)) % 4)
-        send = len(self._tx_tail) if last else len(self._tx_tail) // 4 * 4
-        if not send and not last:
-            return
-        payload = bytes(self._tx_tail[:send])
-        del self._tx_tail[:send]
+        held = self._tx_tail
+        if not held and data.__class__ is bytes and len(data) % 4 == 0:
+            payload = data
+        else:
+            n = len(held) + len(data)
+            pad = (-n) % 4 if last else 0
+            whole = b"".join((held, data, bytes(pad)))
+            send = n + pad if last else n - n % 4
+            self._tx_tail = whole[send:]
+            if not send and not last:
+                return
+            payload = memoryview(whole)[:send]
         meta = self._tx_meta
         if last:
             self._tx_meta = None
         try:
-            self._push(payload, last, meta)
+            self._push((payload,), last, meta)
         except BaseException:
             self._tx_meta = None  # the frame is abandoned
             self._give_token()

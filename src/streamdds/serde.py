@@ -8,6 +8,16 @@ zero-padded to a 32-bit word boundary and wrapped in a Frame; one frame
 carries exactly one message, so the frame boundary is the end-of-message
 marker.
 
+The encoder emits a frame as word-aligned segments
+(``serialize_segments``), which the runtime streams without joining them.
+A ``bytes`` value of a ``uint8`` array of at least ``VIEW_MIN_BYTES`` is
+published by reference: its segment is a view of the caller's immutable
+object, and only its unaligned first and last bytes are copied, into the
+neighbouring encoded bytes.  ``bytearray`` and ``memoryview`` values are
+copied, because a publish can return before the subscriber has read the
+frame and the caller may then change them.  ``serialize`` joins the
+segments into one contiguous frame.
+
 ``flatten`` compiles every plan it makes into a ``Codec``, so the work is
 done once, when a topology is built; ``serialize`` and ``deserialize`` only
 run it.  Each level of a plan (its top level, and the element of each group
@@ -62,7 +72,16 @@ _STRUCT_CODE = {
 
 _COUNT = struct.Struct("<I")
 _BYTES = (bytes, bytearray, memoryview)
+_PAD = bytes(3)
 _PACK_ERRORS = (struct.error, TypeError, OverflowError)
+
+# Smallest ``bytes`` value published by reference.  Below it a copy costs
+# less than what a view adds to the transfer: each segment a view splits off
+# costs a channel hand-off, and the subscriber's reassembly reads the
+# caller's object from colder cache than a copy made just before.  On the
+# transfer ladder (tests/test_acceptance.py, c5), views from 64 KiB made the
+# 196k and 786k transfers 40-55% slower, and the 3146k one 5-8%.
+VIEW_MIN_BYTES = 1 << 20
 
 MessageValue = dict
 
@@ -83,7 +102,20 @@ class SerializationError(CodecError):
 
 
 class DeserializationError(CodecError):
-    pass
+    """A frame that does not decode; ``path`` names the slot it failed at.
+
+    The message is ``before + path + after``.
+    """
+
+    def __init__(self, before: str, path: str = "", after: str = ""):
+        super().__init__(before + path + after)
+        self.path = path
+        self._parts = (before, after)
+
+    def within(self, prefix: str) -> DeserializationError:
+        """The same error for a slot nested at path ``prefix``."""
+        before, after = self._parts
+        return DeserializationError(before, _join(prefix, self.path), after)
 
 
 @dataclass(frozen=True)
@@ -113,12 +145,27 @@ class Frame:
 
 def serialize(value: MessageValue, plan: SerializationPlan) -> Frame:
     """Encode ``value`` against ``plan`` into a word-aligned frame."""
-    out = bytearray()
+    segments = serialize_segments(value, plan)
+    return Frame(segments[0] if len(segments) == 1 else b"".join(segments))
+
+
+def serialize_segments(value: MessageValue, plan: SerializationPlan) -> list:
+    """Encode ``value`` against ``plan`` into the segments of its frame.
+
+    Each segment is a whole number of words and at least one word long,
+    except the one segment of an empty frame; joined in order they are the
+    frame ``serialize`` returns.  A ``bytes`` value of a ``uint8`` array of
+    at least ``VIEW_MIN_BYTES`` is a view of the caller's object; every
+    other segment is new.
+    """
+    out = _Out()
+    out.segments = segments = []
     plan.codec.encode(value, out)
-    pad = (-len(out)) % 4
-    if pad:
-        out += b"\x00" * pad
-    return Frame(out)
+    out += _PAD[: (-len(out)) % 4]
+    if out or not segments:
+        segments.append(out)
+    del out.segments  # no cycle through the list that now holds ``out``
+    return segments
 
 
 def deserialize(frame: Frame, plan: SerializationPlan) -> MessageValue:
@@ -137,14 +184,39 @@ class Codec:
     """A plan's compiled encoder and decoder.
 
     ``encode(value, out)`` appends the unpadded wire bytes of ``value`` to
-    the bytearray ``out``; ``decode(buf, pos)`` reads one value from
-    ``buf`` at ``pos`` and returns it with the position after it.
+    ``out``, an ``_Out``; ``decode(buf, pos)`` reads one value from ``buf``
+    at ``pos`` and returns it with the position after it.
     """
 
     __slots__ = ("encode", "decode")
 
     def __init__(self, slots: tuple):
         self.encode, self.decode = _compile_level(slots)
+
+
+class _Out(bytearray):
+    """Encoder output: the open segment's bytes, appended to in place.
+
+    ``segments`` holds the segments finished before the open one.
+    """
+
+    __slots__ = ("segments",)
+
+    def append_view(self, data: bytes) -> None:
+        """Append ``data`` (at least 7 bytes) as a view, not a copy.
+
+        The view covers whole words of the frame: the bytes up to the next
+        word boundary close the open segment, and the bytes after the
+        view's last whole word open the next one.
+        """
+        head = (-len(self)) % 4
+        end = head + (len(data) - head) // 4 * 4
+        self += data[:head]
+        if self:
+            self.segments.append(bytes(self))
+            self.clear()
+        self.segments.append(memoryview(data)[head:end])
+        self += data[end:]
 
 
 # --- compiling one level ---------------------------------------------------
@@ -182,7 +254,8 @@ def _compile_level(slots: tuple):
             run = slots[start:i]
             if any(shape):
                 shape = tuple(shape)
-                encoders.append(partial(_enc_mixed_run, packer, start, i, shape, run))
+                enc = partial(_enc_mixed_run, packer, start, i, shape, run)
+                encoders.append(_check_bool_arrays(enc, start, run))
                 decoders.append(partial(_dec_mixed_run, packer, shape, run))
             else:
                 encoders.append(partial(_enc_run, packer, start, i, run))
@@ -199,7 +272,7 @@ def _compile_level(slots: tuple):
             encoders.append(partial(_enc_string, slot.path, i))
             decoders.append(partial(_dec_string, slot.path))
         else:
-            encoders.append(partial(_enc_array, slot, i))
+            encoders.append(_check_bool_arrays(partial(_enc_array, slot, i), i, (slot,)))
             decoders.append(partial(_dec_array, slot))
     if nested:
         flat, build = _tree_codec(_shape(slots))
@@ -211,6 +284,21 @@ def _compile_level(slots: tuple):
         partial(_encode_level, _getter(keys), encoders, slots),
         partial(_decode_flat_level, keys, decoders),
     )
+
+
+def _check_bool_arrays(enc, start: int, slots: tuple):
+    """``enc`` for ``slots`` (from ``start`` in their level), bool arrays checked.
+
+    ``struct`` packs any object as a bool by its truth, so each element of a
+    bool array must first pass ``operator.index``, as a bool scalar does.
+    Ops without bool arrays are returned as they are and pay nothing.
+    """
+    checks = tuple(
+        (start + k, slot)
+        for k, slot in enumerate(slots)
+        if slot.primitive == "bool" and slot.arity.kind != Arity.SCALAR
+    )
+    return partial(_enc_bool_arrays, checks, enc) if checks else enc
 
 
 def _encode_level(flat, encoders, slots, value, out: bytearray) -> None:
@@ -399,6 +487,16 @@ def _dec_mixed_run(packer, shape, slots, buf, pos, leaves) -> int:
     return pos + packer.size
 
 
+def _enc_bool_arrays(checks, enc, leaves, out) -> None:
+    for i, slot in checks:
+        try:
+            for x in leaves[i]:
+                index(x)
+        except TypeError:
+            raise _blame((slot,), (leaves[i],)) from None
+    enc(leaves, out)
+
+
 def _enc_string(path, i, leaves, out) -> None:
     value = leaves[i]
     if not isinstance(value, str):
@@ -412,7 +510,7 @@ def _dec_string(path, buf, pos, leaves) -> int:
     try:
         n = _COUNT.unpack_from(buf, pos)[0]
     except struct.error:
-        raise _truncated(4, f"{path} length", buf, pos) from None
+        raise _truncated(4, path, buf, pos, " length") from None
     pos += 4
     end = pos + n
     if end > len(buf):
@@ -420,7 +518,7 @@ def _dec_string(path, buf, pos, leaves) -> int:
     try:
         leaves.append(str(buf[pos:end], "utf-8"))
     except UnicodeDecodeError as e:
-        raise DeserializationError(f"{path}: invalid utf-8 payload ({e})") from None
+        raise DeserializationError("", path, f": invalid utf-8 payload ({e})") from None
     return end
 
 
@@ -445,7 +543,10 @@ def _enc_array(slot: PlanSlot, i, leaves, out) -> None:
     elif isinstance(v, _BYTES):
         if primitive != "uint8":
             raise SerializationError("bytes value only valid for uint8 arrays", path)
-        out += v
+        if v.__class__ is bytes and n >= VIEW_MIN_BYTES:
+            out.append_view(v)
+        else:
+            out += v
     else:
         try:
             out += struct.pack(f"<{n}{_STRUCT_CODE[primitive]}", *v)
@@ -496,9 +597,12 @@ def _dec_group(slot: GroupSlot, dec_one, buf, pos, leaves) -> int:
     n = _read_count(slot, buf, pos)
     pos += 4
     elements = []
-    for _ in range(n):
-        element, pos = dec_one(buf, pos)
-        elements.append(element)
+    try:
+        for _ in range(n):
+            element, pos = dec_one(buf, pos)
+            elements.append(element)
+    except DeserializationError as e:
+        raise e.within(f"{slot.path}[{len(elements)}]") from None
     leaves.append(elements)
     return pos
 
@@ -511,15 +615,22 @@ def _read_count(slot, buf: memoryview, pos: int) -> int:
     try:
         n = _COUNT.unpack_from(buf, pos)[0]
     except struct.error:
-        raise _truncated(4, f"{slot.path} count", buf, pos) from None
+        raise _truncated(4, slot.path, buf, pos, " count") from None
     if slot.arity.kind == Arity.BOUNDED and n > slot.arity.size:
-        raise DeserializationError(f"{slot.path}: count {n} exceeds bound {slot.arity.size}")
+        raise DeserializationError(
+            "", slot.path, f": count {n} exceeds bound {slot.arity.size}"
+        )
     return n
 
 
-def _truncated(n: int, what: str, buf: memoryview, pos: int) -> DeserializationError:
+def _truncated(
+    n: int, path: str, buf: memoryview, pos: int, what: str = ""
+) -> DeserializationError:
+    """``n`` bytes of ``what`` at slot ``path`` run past the frame's end."""
     left = max(len(buf) - pos, 0)
-    return DeserializationError(f"truncated frame: needed {n} bytes for {what}, {left} left")
+    return DeserializationError(
+        f"truncated frame: needed {n} bytes for ", path, f"{what}, {left} left"
+    )
 
 
 def _truncated_run(slots: tuple, buf: memoryview, pos: int) -> DeserializationError:
@@ -550,11 +661,6 @@ def _blame(slots: tuple, values) -> SerializationError:
         primitive, path = slot.primitive, slot.path
         if slot.arity.kind == Arity.SCALAR:
             items = (v,)
-            if primitive == "bool":
-                try:
-                    index(v)
-                except TypeError:
-                    return SerializationError("value not encodable as bool", path)
         elif isinstance(v, _BYTES) and primitive != "uint8":
             return SerializationError("bytes value only valid for uint8 arrays", path)
         else:
@@ -565,6 +671,12 @@ def _blame(slots: tuple, values) -> SerializationError:
             err = _count_error(slot.arity, len(items), path)
             if err is not None:
                 return err
+        if primitive == "bool":
+            try:
+                for x in items:
+                    index(x)
+            except TypeError:
+                return SerializationError("value not encodable as bool", path)
         try:
             struct.pack(f"<{len(items)}{_STRUCT_CODE[primitive]}", *items)
         except _PACK_ERRORS as e:

@@ -7,8 +7,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from streamdds import serde
 from streamdds.msgdef import TypeRegistry, parse_msg_file
-from streamdds.serde import serialize
+from streamdds.serde import VIEW_MIN_BYTES, serialize, serialize_segments
 from streamdds.runtime import (
     DATAFLOW,
     EXTERNAL,
@@ -24,6 +25,8 @@ from streamdds.runtime import (
     instantiate,
 )
 from streamdds.topology import AppSpec, NodeSpec, PortSpec, build_topology, parse_config
+
+from support import reference_frame
 
 
 def build(cfg: str, registry, kernels, **config_kw):
@@ -266,6 +269,191 @@ class TestPortsDirect:
 
             with pytest.raises(SerializationError):
                 inst.publisher("a", "T").publish_blocking({"data": [1, 2]})
+
+
+class TestWaker:
+    def test_set_before_wait_returns_at_once(self):
+        w = Waker()
+        w.set()
+        t = threading.Thread(target=w.wait, daemon=True)
+        t.start()
+        join_all([t], seconds=1.0)
+
+    def test_wait_parks_until_set(self):
+        w = Waker()
+        w.set()
+        w.clear()
+        t = threading.Thread(target=w.wait, daemon=True)
+        t.start()
+        t.join(timeout=0.05)
+        assert t.is_alive()
+        w.set()
+        join_all([t])
+
+    def test_concurrent_set_never_raises(self):
+        # Under the interpreter lock two set() calls seldom interleave, so
+        # the race is staged: another set() releases the lock between this
+        # one's locked() and release().
+        class RacedLock:
+            def __init__(self):
+                self.lock = threading.Lock()
+                self.lock.acquire()
+
+            def locked(self):
+                held = self.lock.locked()
+                if held:
+                    self.lock.release()  # the other set() gets there first
+                return held
+
+            def release(self):
+                self.lock.release()
+
+            def acquire(self, blocking=True):
+                return self.lock.acquire(blocking)
+
+        w = Waker()
+        w._lock = RacedLock()
+        w.set()
+        t = threading.Thread(target=w.wait, daemon=True)
+        t.start()
+        join_all([t], seconds=1.0)
+
+    def test_ping_pong_loses_no_wakeup(self):
+        rounds = 10_000
+        turn = [0]
+        abort = False
+        wakers = (Waker(), Waker())
+
+        def player(me: int):
+            mine, other = wakers[me], wakers[1 - me]
+            for k in range(me, 2 * rounds, 2):
+                while turn[0] != k:  # check, clear, re-check, wait
+                    mine.clear()
+                    if turn[0] != k and not abort:
+                        mine.wait()
+                    if abort:
+                        return
+                turn[0] = k + 1
+                other.set()
+
+        threads = [threading.Thread(target=player, args=(i,), daemon=True) for i in (0, 1)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            join_all(threads, seconds=30.0)
+        finally:
+            sys.setswitchinterval(old)
+            abort = True
+            for w in wakers:
+                w.set()
+        assert turn[0] == 2 * rounds
+
+
+class TestPublishByReference:
+    """``bytes`` payloads reach the channels as views; mutable ones are copied."""
+
+    @staticmethod
+    def read_frame(ch) -> list:
+        chunks = [ch.read_some()]
+        while not chunks[-1][1]:
+            chunks.append(ch.read_some())
+        return [data for data, _, _ in chunks]
+
+    @pytest.mark.parametrize("n_subs", [1, 2])
+    @pytest.mark.parametrize("publish", ["publish_blocking", "publish_try"])
+    def test_bytes_payload_sits_in_channel_as_view(self, registry, n_subs, publish):
+        subs = [f"b{i}" for i in range(n_subs)]
+        cfg = "node a\n pub T demo/Blob\n" + "".join(f"node {b}\n sub T demo/Blob\n" for b in subs)
+        inst = build(cfg, registry, {n: EXTERNAL for n in ["a", *subs]},
+                     default_capacity_words=VIEW_MIN_BYTES // 4 + 1)
+        payload = random.Random(1).randbytes(VIEW_MIN_BYTES)
+        with inst, watchdog(inst):
+            pub = inst.publisher("a", "T")
+            assert getattr(pub, publish)({"data": payload}) in (None, True)
+            for b in subs:
+                count, data = self.read_frame(inst.subscriber(b, "T").channel)
+                assert bytes(count) == len(payload).to_bytes(4, "little")
+                assert isinstance(data, memoryview) and data.obj is payload
+                assert data == payload
+            getattr(pub, publish)({"data": payload})
+            for b in subs:
+                assert inst.subscriber(b, "T").take_blocking() == {"data": payload}
+
+    def test_bytearray_mutated_after_publish_arrives_unchanged(self, registry, monkeypatch):
+        # views from 16 bytes, so the size alone would not force a copy
+        monkeypatch.setattr(serde, "VIEW_MIN_BYTES", 16)
+        inst = build(
+            "node a\n pub T demo/Blob\nnode b\n sub T demo/Blob\n",
+            registry,
+            {"a": EXTERNAL, "b": EXTERNAL},
+            default_capacity_words=4,
+        )
+        payload = bytearray(range(64))
+        original = bytes(payload)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            out = []
+            t = threading.Thread(target=lambda: out.append(sub.take_blocking()))
+            t.start()
+            pub.publish_blocking({"data": payload})
+            payload[:] = bytes(len(payload))  # the last words are still on the link
+            join_all([t])
+        assert out == [{"data": original}]
+
+    def test_unaligned_bytes_after_string_over_chunked_link(self):
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("string name\nuint8[] data\nuint16 tail", "demo/Named"))
+        reg = reg.resolve()
+        inst = build(
+            "node a\n pub T demo/Named\nnode b\n sub T demo/Named\n",
+            reg,
+            {"a": EXTERNAL, "b": EXTERNAL},
+            default_capacity_words=4096,
+        )
+        payload = random.Random(2).randbytes(VIEW_MIN_BYTES + 3)
+        value = {"name": "abc", "data": payload, "tail": 513}
+        pub = inst.publisher("a", "T")
+        segments = serialize_segments(value, pub.plan)
+        assert any(getattr(s, "obj", None) is payload for s in segments)
+        frame = bytes(serialize(value, pub.plan).payload)
+        assert frame == reference_frame(reg, "demo/Named", value)
+        with inst, watchdog(inst):
+            sub = inst.subscriber("b", "T")
+            out = []
+            t = threading.Thread(target=lambda: out.extend(sub.take_blocking() for _ in range(2)))
+            t.start()
+            pub.publish_blocking(value)
+            pub.publish_blocking({"name": "", "data": payload[:5], "tail": 1})
+            join_all([t])
+        assert out == [value, {"name": "", "data": payload[:5], "tail": 1}]
+
+    def test_write_chunk_forwards_aligned_bytes(self, registry):
+        inst = build(
+            "node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=2\n",
+            registry,
+            {"a": EXTERNAL, "b": EXTERNAL},
+        )
+        with inst, watchdog(inst):
+            pub, ch = inst.publisher("a", "T"), inst.subscriber("b", "T").channel
+            aligned = bytes(range(8))
+            pub.write_chunk(aligned)
+            data, last, _ = ch.read_some()
+            assert data.obj is aligned and not last
+            mutable = bytearray(range(8, 12))
+            pub.write_chunk(mutable)
+            data, _, _ = ch.read_some()
+            assert getattr(data, "obj", None) is not mutable and bytes(data) == mutable
+            pub.write_chunk(b"\x0c\x0d\x0e")  # held back: not a whole word
+            assert ch.read_some() is None
+            pub.write_chunk(b"\x0f", last=True)
+            data, last, _ = ch.read_some()
+            assert bytes(data) == bytes(range(12, 16)) and last
+            pub.write_chunk(b"\x01\x02\x03\x04\x05")
+            pub.write_chunk(b"\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e", last=True)
+            chunks = TestPublishByReference.read_frame(ch)
+            assert b"".join(map(bytes, chunks)) == bytes(range(1, 15)) + bytes(2)
 
 
 class TestBackpressure:

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from streamdds.msgdef import TypeRegistry, flatten, parse_msg_file
 from streamdds.serde import (
+    VIEW_MIN_BYTES,
     DeserializationError,
     Frame,
     SerializationError,
     conforms_to,
     deserialize,
     serialize,
+    serialize_segments,
 )
 
 from support import mutate_value, random_registry, random_value, reference_frame
@@ -97,6 +99,23 @@ class TestSerialize:
         with pytest.raises(SerializationError, match="bool") as err:
             serialize({"a": True, "b": [1, 0]}, plan)
         assert err.value.path == "b"
+
+    @pytest.mark.parametrize("src, value", [
+        ("bool[3] a\nfloat32[2] f", {"a": ["x", [], None], "f": [1.0, 2.0]}),
+        ("bool[] a", {"a": [{"k": 1}, 0.0]}),
+        ("bool[<=4] a", {"a": [True, None]}),
+        ("bool[2] a", {"a": "no"}),
+    ])
+    def test_bool_array_rejects_non_integer_elements(self, src, value):
+        _, plan = plan_for(src)
+        with pytest.raises(SerializationError, match="bool") as err:
+            serialize(value, plan)
+        assert err.value.path == "a"
+
+    def test_bool_array_accepts_integer_like_elements(self):
+        _, plan = plan_for("bool[3] a\nbool[] b")
+        frame = serialize({"a": [True, 0, 1], "b": [False, 2]}, plan)
+        assert bytes(frame.payload) == b"\x01\x00\x01\x02\x00\x00\x00\x00\x01\x00\x00\x00"
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_fixed_nested_array_length_enforced(self, n):
@@ -244,6 +263,24 @@ class TestDeserialize:
         with pytest.raises(DeserializationError, match="bound"):
             deserialize(Frame(bad), plan)
 
+    def test_error_in_group_element_names_full_path(self):
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("uint32 v", "t/Inner"))
+        reg.register(parse_msg_file("string s\nInner[] inner", "t/Mid"))
+        reg.register(parse_msg_file("Inner[] items\nMid[] mids", "t/M"))
+        plan = flatten(reg.resolve(), "t/M")
+        frame = bytes(serialize({"items": [{"v": 1}, {"v": 2}], "mids": []}, plan).payload)
+        with pytest.raises(DeserializationError) as err:
+            deserialize(Frame(frame[:8]), plan)
+        assert str(err.value) == "truncated frame: needed 4 bytes for items[1].v, 0 left"
+        assert err.value.path == "items[1].v"
+        value = {"items": [], "mids": [{"s": "a", "inner": []}, {"s": "b", "inner": [{"v": 3}]}]}
+        frame = bytes(serialize(value, plan).payload)
+        with pytest.raises(DeserializationError, match=r"mids\[1\]\.inner count"):
+            deserialize(Frame(frame[:24]), plan)
+        with pytest.raises(DeserializationError, match=r"for mids\[1\]\.inner\[0\]\.v,"):
+            deserialize(Frame(frame[:28]), plan)
+
     def test_count_exceeding_remaining_bytes(self):
         _, plan = plan_for("uint8[] v")
         with pytest.raises(DeserializationError, match="truncated"):
@@ -263,6 +300,40 @@ class TestDeserialize:
         _, plan = plan_for("float64 v\nfloat32 w")
         out = deserialize(serialize({"v": math.nan, "w": math.inf}, plan), plan)
         assert math.isnan(out["v"]) and out["w"] == math.inf
+
+
+class TestSegments:
+    SRC = "string name\nuint8[] data\nuint16 tail"
+
+    @pytest.mark.parametrize("name", ["", "a", "ab", "abc"])
+    def test_bytes_payload_is_a_view_between_copied_edges(self, name):
+        registry, plan = plan_for(self.SRC)
+        data = bytes(range(256)) * (VIEW_MIN_BYTES // 256) + b"xyz"
+        value = {"name": name, "data": data, "tail": 7}
+        segments = serialize_segments(value, plan)
+        views = [s for s in segments if isinstance(s, memoryview)]
+        assert len(views) == 1 and views[0].obj is data
+        assert all(len(s) % 4 == 0 and len(s) > 0 for s in segments)
+        joined = b"".join(segments)
+        assert joined == bytes(serialize(value, plan).payload)
+        assert joined == reference_frame(registry, "t/M", value)
+        assert deserialize(Frame(joined), plan) == value
+
+    @pytest.mark.parametrize("kind", [bytearray, memoryview])
+    def test_mutable_payload_is_copied(self, kind):
+        _, plan = plan_for(self.SRC)
+        data = kind(bytes(VIEW_MIN_BYTES))
+        segments = serialize_segments({"name": "", "data": data, "tail": 0}, plan)
+        assert not any(isinstance(s, memoryview) for s in segments)
+
+    def test_small_bytes_payload_is_copied(self):
+        _, plan = plan_for(self.SRC)
+        segments = serialize_segments({"name": "", "data": bytes(4096), "tail": 0}, plan)
+        assert len(segments) == 1 and not isinstance(segments[0], memoryview)
+
+    def test_empty_frame_is_one_empty_segment(self):
+        _, plan = plan_for("")
+        assert [bytes(s) for s in serialize_segments({}, plan)] == [b""]
 
 
 class TestFrame:
