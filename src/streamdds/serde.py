@@ -21,22 +21,27 @@ segments into one contiguous frame.
 ``flatten`` compiles every plan it makes into a ``Codec``, so the work is
 done once, when a topology is built; ``serialize`` and ``deserialize`` only
 run it.  Each level of a plan (its top level, and the element of each group
-slot) compiles into:
+slot) compiles into its own ``Codec``:
 
-- a reader of the level's slot values and a builder of its dict tree.  A
-  level whose slots are all fields of one dict reads them with one
-  ``operator.itemgetter`` and builds the dict with ``dict(zip(...))``; a
-  level with nested scalar types or fixed arrays of them uses a shape tree
-  nested once from the slot paths;
-- ops over those slot values in wire order.  A run of consecutive
-  fixed-width slots (scalars other than string, and fixed arrays of numbers
-  other than ``uint8``) packs and unpacks with one pre-built
-  ``struct.Struct``; strings, ``uint8`` arrays, dynamic arrays and groups
-  each get an op of their own.
+- a reader of the level's slot values and a builder of its dict.  A level
+  whose slots are all fields of one dict reads them with one
+  ``operator.itemgetter`` and builds the dict with a dict display (with
+  ``dict(zip(...))`` above eight fields); a level
+  with nested scalar types or fixed arrays of them uses a shape tree nested
+  once from the slot paths;
+- steps over those slot values in wire order.  Each step has one pre-built
+  ``struct.Struct`` for a run of consecutive fixed-width slots (scalars
+  other than string, and fixed arrays of numbers other than ``uint8``) and
+  the uint32 count of the variable-size slot that follows them: a string's
+  byte length, or a dynamic array's or a group's element count.  The step
+  then writes or reads that slot's body: the string's bytes, the array's
+  data, or the group's elements, all of them in one loop over the
+  element's own steps.
 
-The ops leave to ``struct`` the checks it makes anyway.  Only after an
+The steps leave to ``struct`` the checks it makes anyway.  Only after an
 exception does the codec look for the slot to blame, so a
-``SerializationError`` still names the failing slot by its full path.
+``SerializationError`` or ``DeserializationError`` still names the failing
+slot by its full path.
 """
 
 from __future__ import annotations
@@ -160,7 +165,7 @@ def serialize_segments(value: MessageValue, plan: SerializationPlan) -> list:
     """
     out = _Out()
     out.segments = segments = []
-    plan.codec.encode(value, out)
+    _encode(plan.codec, (value,), out, None)
     out += _PAD[: (-len(out)) % 4]
     if out or not segments:
         segments.append(out)
@@ -171,27 +176,13 @@ def serialize_segments(value: MessageValue, plan: SerializationPlan) -> list:
 def deserialize(frame: Frame, plan: SerializationPlan) -> MessageValue:
     """Decode a frame produced for the same plan back into a value tree."""
     buf = memoryview(frame.payload)
-    value, pos = plan.codec.decode(buf, 0)
+    values, pos = _decode(plan.codec, 1, buf, 0, None)
     tail = len(buf) - pos
     if tail >= 4 or buf[pos:] != b"\x00" * tail:
         raise DeserializationError(
             f"{tail} trailing bytes after last slot are not word padding"
         )
-    return value
-
-
-class Codec:
-    """A plan's compiled encoder and decoder.
-
-    ``encode(value, out)`` appends the unpadded wire bytes of ``value`` to
-    ``out``, an ``_Out``; ``decode(buf, pos)`` reads one value from ``buf``
-    at ``pos`` and returns it with the position after it.
-    """
-
-    __slots__ = ("encode", "decode")
-
-    def __init__(self, slots: tuple):
-        self.encode, self.decode = _compile_level(slots)
+    return values[0]
 
 
 class _Out(bytearray):
@@ -220,111 +211,113 @@ class _Out(bytearray):
 
 
 # --- compiling one level ---------------------------------------------------
-#
-# Compiled pieces are module functions bound to their constants with
-# ``functools.partial``: a plan compiles into few objects, and a set-up that
-# compiles plans leaves little for the garbage collector.
+
+# A step's kind: what follows its run of fixed-width slots
+_END, _STRING, _GROUP, _ARRAY = range(4)
+_NO_BOUND = 0xFFFFFFFF  # the largest uint32 count
 
 
-def _compile_level(slots: tuple):
-    """(encode, decode) for the slots of one level; see ``Codec``."""
-    encoders, decoders = [], []
-    # the open run of fixed-width slots, from slots[start]: its struct codes,
-    # and per slot 0 for a scalar, -1 for a bool scalar, n for a fixed array
-    codes, shape = ["<"], []
-    start = 0
-    keys = []
-    nested = False
-    for i, slot in enumerate((*slots, None)):
-        if slot is not None:
-            keys.append(slot.path)
-            nested = nested or "." in slot.path
-        if slot.__class__ is PlanSlot and slot.primitive != "string":
-            kind = slot.arity.kind
-            if kind == Arity.SCALAR:
-                codes.append(_STRUCT_CODE[slot.primitive])
-                shape.append(-(slot.primitive == "bool"))
-                continue
-            if kind == Arity.FIXED and slot.primitive != "uint8":
-                codes.append(f"{slot.arity.size}{_STRUCT_CODE[slot.primitive]}")
-                shape.append(slot.arity.size)
-                continue
-        if shape:  # close the run of slots[start:i] under one Struct
-            packer = struct.Struct("".join(codes))
-            run = slots[start:i]
-            if any(shape):
-                shape = tuple(shape)
-                enc = partial(_enc_mixed_run, packer, start, i, shape, run)
-                encoders.append(_check_bool_arrays(enc, start, run))
-                decoders.append(partial(_dec_mixed_run, packer, shape, run))
-            else:
-                encoders.append(partial(_enc_run, packer, start, i, run))
-                decoders.append(partial(_dec_run, packer, run))
-            codes, shape = ["<"], []
-        start = i + 1
-        if slot is None:
-            break
-        if slot.__class__ is GroupSlot:
-            enc_one, dec_one = _compile_level(slot.element_slots)
-            encoders.append(partial(_enc_group, slot, i, enc_one))
-            decoders.append(partial(_dec_group, slot, dec_one))
-        elif slot.arity.kind == Arity.SCALAR:
-            encoders.append(partial(_enc_string, slot.path, i))
-            decoders.append(partial(_dec_string, slot.path))
-        else:
-            encoders.append(_check_bool_arrays(partial(_enc_array, slot, i), i, (slot,)))
-            decoders.append(partial(_dec_array, slot))
-    if nested:
-        flat, build = _tree_codec(_shape(slots))
-        return (
-            partial(_encode_level, flat, encoders, slots),
-            partial(_decode_level, build, decoders),
-        )
-    return (
-        partial(_encode_level, _getter(keys), encoders, slots),
-        partial(_decode_flat_level, keys, decoders),
-    )
+class Codec:
+    """One level of a plan compiled: a message's top level, or a group's element.
 
-
-def _check_bool_arrays(enc, start: int, slots: tuple):
-    """``enc`` for ``slots`` (from ``start`` in their level), bool arrays checked.
-
-    ``struct`` packs any object as a bool by its truth, so each element of a
-    bool array must first pass ``operator.index``, as a bool scalar does.
-    Ops without bool arrays are returned as they are and pay nothing.
+    ``get(value)`` reads the level's slot values from a value, in plan order,
+    as a tuple.  ``steps`` encode and decode them (see ``_step``).
+    ``build(keys, values)`` makes a value back from its slot values; ``keys``
+    are the slot paths of a level whose slots are all fields of one dict,
+    else None.  ``slots`` are the level's plan slots.
     """
-    checks = tuple(
-        (start + k, slot)
-        for k, slot in enumerate(slots)
-        if slot.primitive == "bool" and slot.arity.kind != Arity.SCALAR
-    )
-    return partial(_enc_bool_arrays, checks, enc) if checks else enc
+
+    __slots__ = ("get", "steps", "keys", "build", "slots")
+
+    def __init__(self, slots: tuple):
+        self.slots = slots
+        steps = []
+        codes, shape, bools = ["<"], [], []  # the open run, from slots[start]
+        start = 0
+        for i, slot in enumerate(slots):
+            if slot.__class__ is PlanSlot and slot.primitive != "string":
+                arity = slot.arity.kind
+                if arity == Arity.SCALAR or (arity == Arity.FIXED and slot.primitive != "uint8"):
+                    n = 0 if arity == Arity.SCALAR else slot.arity.size
+                    codes.append(f"{n or ''}{_STRUCT_CODE[slot.primitive]}")
+                    shape.append(n)
+                    if slot.primitive == "bool":
+                        bools.append(i - start)
+                    continue
+            if slot.__class__ is GroupSlot:
+                kind, sub = _GROUP, Codec(slot.element_slots)
+            else:
+                kind, sub = (_STRING if slot.arity.kind == Arity.SCALAR else _ARRAY), None
+            if slot.arity.kind != Arity.FIXED:
+                codes.append("I")  # the slot's count or byte length
+            bound = _NO_BOUND if slot.arity.size is None else slot.arity.size
+            steps.append(_step(kind, codes, shape, bools, start, i, bound, sub))
+            codes, shape, bools = ["<"], [], []
+            start = i + 1
+        if shape:
+            steps.append(_step(_END, codes, shape, bools, start, len(slots), _NO_BOUND, None))
+        self.steps = tuple(steps)
+        paths = [slot.path for slot in slots]
+        if any("." in path for path in paths):
+            self.keys = None
+            self.get, build = _tree_codec(_shape(slots))
+            self.build = partial(_build_tree, build)
+        else:
+            self.keys = tuple(paths)
+            self.build = _DICTS[len(paths)] if len(paths) < len(_DICTS) else _dict_zip
+            if len(paths) > 1:
+                self.get = itemgetter(*paths)
+            elif paths:  # a tuple whose second item is never read
+                self.get = itemgetter(paths[0], paths[0])
+            else:
+                self.get = _get_none
 
 
-def _encode_level(flat, encoders, slots, value, out: bytearray) -> None:
-    try:
-        leaves = flat(value)
-    except (KeyError, TypeError, IndexError):
-        err = _shape_error(_shape(slots), value, "")
-        if err is None:
-            raise
-        raise err from None
-    for enc in encoders:
-        enc(leaves, out)
+# Builders of a flat level's dict from its keys and slot values, by field
+# count: a dict display builds a six-field dict in half the time
+# ``dict(zip(keys, values))`` takes.
+_DICTS = (
+    lambda k, v: {},
+    lambda k, v: {k[0]: v[0]},
+    lambda k, v: {k[0]: v[0], k[1]: v[1]},
+    lambda k, v: {k[0]: v[0], k[1]: v[1], k[2]: v[2]},
+    lambda k, v: {k[0]: v[0], k[1]: v[1], k[2]: v[2], k[3]: v[3]},
+    lambda k, v: {k[0]: v[0], k[1]: v[1], k[2]: v[2], k[3]: v[3], k[4]: v[4]},
+    lambda k, v: {k[0]: v[0], k[1]: v[1], k[2]: v[2], k[3]: v[3], k[4]: v[4], k[5]: v[5]},
+    lambda k, v: {k[0]: v[0], k[1]: v[1], k[2]: v[2], k[3]: v[3], k[4]: v[4], k[5]: v[5],
+                  k[6]: v[6]},
+    lambda k, v: {k[0]: v[0], k[1]: v[1], k[2]: v[2], k[3]: v[3], k[4]: v[4], k[5]: v[5],
+                  k[6]: v[6], k[7]: v[7]},
+)
 
 
-def _decode_level(build, decoders, buf: memoryview, pos: int):
-    leaves = []
-    for dec in decoders:
-        pos = dec(buf, pos, leaves)
-    return build(leaves), pos
+def _dict_zip(keys, values) -> dict:
+    return dict(zip(keys, values))
 
 
-def _decode_flat_level(keys, decoders, buf: memoryview, pos: int):
-    leaves = []
-    for dec in decoders:
-        pos = dec(buf, pos, leaves)
-    return dict(zip(keys, leaves)), pos
+def _build_tree(build, keys, values) -> dict:
+    return build(values)
+
+
+def _step(kind, codes, shape, bools, i, j, bound, sub) -> tuple:
+    """One step: slots ``i..j-1`` of a level, fixed-width, and then slot ``j``.
+
+    ``(kind, packer, run, j, mixed, bound, sub)``: ``run`` is
+    ``slice(i, j)`` (a stored slice saves building one per value), and
+    ``packer`` is one
+    ``struct.Struct`` for the run and, when slot ``j`` has one, its uint32
+    count (a string's byte length, an array's or a group's element count).
+    ``kind`` says what slot ``j`` is: ``_STRING`` (its bytes follow the
+    length), ``_GROUP`` (``sub``, the element's ``Codec``, encodes and decodes
+    its elements in one loop), ``_ARRAY``, or ``_END`` when the run ends the
+    level.  ``mixed`` is None for a run of plain scalars; for a run with
+    fixed arrays or bools it is ``(shape, bools)``: per slot 0 for a scalar
+    or the length of an array, and the bool slots' places in the run.
+    ``bound`` is slot ``j``'s element count if it is a fixed array, else its
+    largest count.
+    """
+    mixed = (tuple(shape), tuple(bools)) if any(shape) or bools else None
+    return (kind, struct.Struct("".join(codes)), slice(i, j), j, mixed, bound, sub)
 
 
 def _shape(slots: tuple) -> dict:
@@ -402,7 +395,7 @@ def _flat_nested(get, flats, value) -> list:
             leaves.append(v)
         else:
             leaves += sub(v)
-    return leaves
+    return tuple(leaves)
 
 
 def _build_nested(parts, values) -> dict:
@@ -429,198 +422,206 @@ def _build_fixed(n, build_one, it) -> list:
     return [build_one(it) for _ in range(n)]
 
 
-# --- ops ------------------------------------------------------------------
+# --- running the steps ------------------------------------------------------
 #
-# Each op is a pair (enc, dec) for the slot values at one index (or, for a
-# run, a range of indices) of its level: ``enc(leaves, out)`` appends their
-# wire bytes to ``out``; ``dec(buf, pos, leaves)`` appends their decoded
-# values to ``leaves`` and returns the position after them.
+# ``_encode`` and ``_decode`` run a level's steps over each of its values in
+# one loop: once for a message's top level, and once per group for all of
+# the group's elements.  They raise where a value or a frame is bad, and only
+# then look for the slot to blame.
+
+_utf8 = str.encode  # raises TypeError for anything but a str
+_ENCODE_ERRORS = (struct.error, TypeError, ValueError, OverflowError, KeyError, IndexError)
 
 
-def _enc_run(packer, i, j, slots, leaves, out) -> None:
+def _encode(codec: Codec, values, out: _Out, path: str | None) -> None:
+    """Append the wire bytes of each of ``values``, values of ``codec``'s level.
+
+    ``path`` is the group slot whose elements ``values`` are, or None for a
+    message's top level; an error names its slot by the path from there.
+    """
+    get, steps, slots = codec.get, codec.steps, codec.slots
+    k = -1
     try:
-        out += packer.pack(*leaves[i:j])
-    except _PACK_ERRORS:
-        raise _blame(slots, leaves[i:j]) from None
+        for k, value in enumerate(values):
+            leaves = get(value)
+            for kind, packer, run, j, mixed, bound, sub in steps:
+                args = leaves[run] if mixed is None else _run_args(mixed, leaves[run])
+                if kind == _STRING:
+                    data = _utf8(leaves[j])
+                    out += packer.pack(*(args + (len(data),)))
+                    out += data
+                elif kind == _END:
+                    out += packer.pack(*args)
+                elif kind == _GROUP:
+                    elements = leaves[j]
+                    n = len(elements)
+                    out += packer.pack(*(args + (n,)))
+                    if n > bound:
+                        raise ValueError(n)
+                    _encode(sub, elements, out, slots[j].path)
+                else:
+                    _enc_array(slots[j], packer, args, bound, leaves[j], out)
+        return
+    except SerializationError as e:  # from a group in this level, located there
+        err = e
+    except _ENCODE_ERRORS:
+        if k < 0:  # ``values`` does not iterate: the caller names its slot
+            raise
+        err = _value_error(codec, value)
+        if err is None:
+            raise
+    if path is not None:
+        err = err.within(f"{path}[{k}]")
+    raise err from None
 
 
-def _dec_run(packer, slots, buf, pos, leaves) -> int:
-    try:
-        leaves += packer.unpack_from(buf, pos)
-    except struct.error:
-        raise _truncated_run(slots, buf, pos) from None
-    return pos + packer.size
-
-
-def _enc_mixed_run(packer, i, j, shape, slots, leaves, out) -> None:
-    """A run with fixed arrays or bools in it."""
-    values = leaves[i:j]
+def _run_args(mixed, values) -> tuple:
+    """The ``Struct`` arguments of a run's values: arrays spread, bools checked."""
+    shape, bools = mixed
+    for k in bools:
+        for x in values[k] if shape[k] else (values[k],):
+            index(x)  # '?' would pack any object by its truth
     args = []
-    try:
-        for v, n in zip(values, shape):
-            if n > 0:
-                if isinstance(v, _BYTES) or len(v) != n:
-                    raise _blame(slots, values)
-                args += v
-            else:
-                if n:
-                    index(v)  # '?' would pack any object by its truth
-                args.append(v)
-        out += packer.pack(*args)
-    except _PACK_ERRORS:
-        raise _blame(slots, values) from None
-
-
-def _dec_mixed_run(packer, shape, slots, buf, pos, leaves) -> int:
-    try:
-        values = packer.unpack_from(buf, pos)
-    except struct.error:
-        raise _truncated_run(slots, buf, pos) from None
-    k = 0
-    for n in shape:
-        if n > 0:
-            leaves.append(list(values[k : k + n]))
-            k += n
+    for v, n in zip(values, shape):
+        if not n:
+            args.append(v)
+        elif isinstance(v, _BYTES) or len(v) != n:
+            raise ValueError(n)
         else:
-            leaves.append(values[k])
-            k += 1
-    return pos + packer.size
+            args += v
+    return tuple(args)
 
 
-def _enc_bool_arrays(checks, enc, leaves, out) -> None:
-    for i, slot in checks:
-        try:
-            for x in leaves[i]:
-                index(x)
-        except TypeError:
-            raise _blame((slot,), (leaves[i],)) from None
-    enc(leaves, out)
-
-
-def _enc_string(path, i, leaves, out) -> None:
-    value = leaves[i]
-    if not isinstance(value, str):
-        raise SerializationError("expected str", path)
-    data = value.encode()
-    out += _COUNT.pack(len(data))
-    out += data
-
-
-def _dec_string(path, buf, pos, leaves) -> int:
-    try:
-        n = _COUNT.unpack_from(buf, pos)[0]
-    except struct.error:
-        raise _truncated(4, path, buf, pos, " length") from None
-    pos += 4
-    end = pos + n
-    if end > len(buf):
-        raise _truncated(n, path, buf, pos)
-    try:
-        leaves.append(str(buf[pos:end], "utf-8"))
-    except UnicodeDecodeError as e:
-        raise DeserializationError("", path, f": invalid utf-8 payload ({e})") from None
-    return end
-
-
-def _enc_array(slot: PlanSlot, i, leaves, out) -> None:
-    """A fixed array of strings or ``uint8``, or any dynamic array."""
-    v = leaves[i]
-    path, arity, primitive = slot.path, slot.arity, slot.primitive
-    try:
-        n = len(v)
-    except TypeError:
-        raise SerializationError("expected a sequence", path) from None
-    if arity.kind == Arity.FIXED:
-        if n != arity.size:
-            raise _count_error(arity, n, path)
+def _enc_array(slot: PlanSlot, packer, args, bound: int, v, out: _Out) -> None:
+    """Pack a step's run and array slot: strings, ``uint8``, or a dynamic array."""
+    primitive = slot.primitive
+    n = len(v)
+    if slot.arity.kind == Arity.FIXED:
+        if n != bound:
+            raise ValueError(n)
+        if args:
+            out += packer.pack(*args)
     else:
-        if arity.kind == Arity.BOUNDED and n > arity.size:
-            raise _count_error(arity, n, path)
-        out += _COUNT.pack(n)
+        if n > bound:
+            raise ValueError(n)
+        out += packer.pack(*(args + (n,)))
     if primitive == "string":
-        for k in range(n):
-            _enc_string(f"{path}[{k}]", k, v, out)
+        for s in v:
+            data = _utf8(s)
+            out += _COUNT.pack(len(data))
+            out += data
     elif isinstance(v, _BYTES):
         if primitive != "uint8":
-            raise SerializationError("bytes value only valid for uint8 arrays", path)
+            raise ValueError(primitive)
         if v.__class__ is bytes and n >= VIEW_MIN_BYTES:
             out.append_view(v)
         else:
             out += v
     else:
-        try:
-            out += struct.pack(f"<{n}{_STRUCT_CODE[primitive]}", *v)
-        except _PACK_ERRORS:
-            raise _blame((slot,), (v,)) from None
+        if primitive == "bool":
+            for x in v:
+                index(x)
+        out += struct.pack(f"<{n}{_STRUCT_CODE[primitive]}", *v)
 
 
-def _dec_array(slot: PlanSlot, buf, pos, leaves) -> int:
-    path, arity, primitive = slot.path, slot.arity, slot.primitive
-    if arity.kind == Arity.FIXED:
-        n = arity.size
-    else:
-        n = _read_count(slot, buf, pos)
-        pos += 4
-    if primitive == "string":
-        items = []
-        for k in range(n):
-            pos = _dec_string(f"{path}[{k}]", buf, pos, items)
-        leaves.append(items)
-        return pos
-    end = pos + n * PRIMITIVE_WIDTHS[primitive]
-    if end > len(buf):
-        raise _truncated(end - pos, path, buf, pos)
-    if primitive == "uint8":
-        leaves.append(bytes(buf[pos:end]))
-    else:
-        leaves.append(list(struct.unpack_from(f"<{n}{_STRUCT_CODE[primitive]}", buf, pos)))
-    return end
+def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None):
+    """``n`` values of ``codec``'s level read from ``buf`` at ``pos``.
 
-
-def _enc_group(slot: GroupSlot, i, enc_one, leaves, out) -> None:
-    elements = leaves[i]
-    try:
-        n = len(elements)
-    except TypeError:
-        raise SerializationError("expected a sequence", slot.path) from None
-    if slot.arity.kind == Arity.BOUNDED and n > slot.arity.size:
-        raise _count_error(slot.arity, n, slot.path)
-    out += _COUNT.pack(n)
-    for k, element in enumerate(elements):
-        try:
-            enc_one(element, out)
-        except SerializationError as e:
-            raise e.within(f"{slot.path}[{k}]") from None
-
-
-def _dec_group(slot: GroupSlot, dec_one, buf, pos, leaves) -> int:
-    n = _read_count(slot, buf, pos)
-    pos += 4
-    elements = []
+    Returns them in a list, with the position after them.  ``path`` is as
+    for ``_encode``.
+    """
+    steps, keys, build, slots = codec.steps, codec.keys, codec.build, codec.slots
+    end = len(buf)
+    values = []
     try:
         for _ in range(n):
-            element, pos = dec_one(buf, pos)
-            elements.append(element)
+            leaves = []
+            for kind, packer, run, j, mixed, bound, sub in steps:
+                if mixed is None:
+                    leaves += packer.unpack_from(buf, pos)
+                else:
+                    leaves += _regroup(mixed[0], packer.unpack_from(buf, pos))
+                pos += packer.size
+                if kind == _STRING:
+                    stop = pos + leaves[-1]
+                    if stop > end:
+                        raise _truncated(stop - pos, slots[j].path, buf, pos)
+                    leaves[-1] = str(buf[pos:stop], "utf-8")
+                    pos = stop
+                elif kind == _GROUP:
+                    count = leaves[-1]
+                    if count > bound:
+                        raise _bound_error(slots[j], count)
+                    leaves[-1], pos = _decode(sub, count, buf, pos, slots[j].path)
+                elif kind == _ARRAY:
+                    pos = _dec_array(slots[j], bound, buf, pos, leaves)
+            values.append(build(keys, leaves))
+        return values, pos
     except DeserializationError as e:
-        raise e.within(f"{slot.path}[{len(elements)}]") from None
-    leaves.append(elements)
-    return pos
+        err = e
+    except struct.error:  # the step's run or count runs past the end
+        err = _truncated_run(slots, run, j, kind, buf, pos)
+    except UnicodeDecodeError as e:
+        err = DeserializationError("", slots[j].path, f": invalid utf-8 payload ({e})")
+    if path is not None:
+        err = err.within(f"{path}[{len(values)}]")
+    raise err from None
 
 
-# --- shared pieces and the error paths --------------------------------------
+def _regroup(shape, values) -> list:
+    """A run's unpacked values with each fixed array's elements in a list."""
+    out = []
+    k = 0
+    for n in shape:
+        if n:
+            out.append(list(values[k : k + n]))
+            k += n
+        else:
+            out.append(values[k])
+            k += 1
+    out += values[k:]  # the count of the step's last slot, if it has one
+    return out
 
 
-def _read_count(slot, buf: memoryview, pos: int) -> int:
-    """The element count of a dynamic slot, checked against its bound."""
-    try:
-        n = _COUNT.unpack_from(buf, pos)[0]
-    except struct.error:
-        raise _truncated(4, slot.path, buf, pos, " count") from None
-    if slot.arity.kind == Arity.BOUNDED and n > slot.arity.size:
-        raise DeserializationError(
-            "", slot.path, f": count {n} exceeds bound {slot.arity.size}"
-        )
-    return n
+def _dec_array(slot: PlanSlot, bound: int, buf: memoryview, pos: int, leaves) -> int:
+    """Decode an array slot; a dynamic array's count is ``leaves[-1]``."""
+    path, primitive = slot.path, slot.primitive
+    if slot.arity.kind == Arity.FIXED:
+        n = bound
+    else:
+        n = leaves.pop()
+        if n > bound:
+            raise _bound_error(slot, n)
+    if primitive == "string":
+        items = []
+        end = len(buf)
+        try:
+            for _ in range(n):
+                length = _COUNT.unpack_from(buf, pos)[0]
+                pos += 4
+                stop = pos + length
+                if stop > end:
+                    raise _truncated(length, f"{path}[{len(items)}]", buf, pos)
+                items.append(str(buf[pos:stop], "utf-8"))
+                pos = stop
+        except struct.error:
+            raise _truncated(4, f"{path}[{len(items)}]", buf, pos, " length") from None
+        except UnicodeDecodeError as e:
+            where = f"{path}[{len(items)}]"
+            raise DeserializationError("", where, f": invalid utf-8 payload ({e})") from None
+        leaves.append(items)
+        return pos
+    stop = pos + n * PRIMITIVE_WIDTHS[primitive]
+    if stop > len(buf):
+        raise _truncated(stop - pos, path, buf, pos)
+    if primitive == "uint8":
+        leaves.append(bytes(buf[pos:stop]))
+    else:
+        leaves.append(list(struct.unpack_from(f"<{n}{_STRUCT_CODE[primitive]}", buf, pos)))
+    return stop
+
+
+# --- the error paths ---------------------------------------------------------
 
 
 def _truncated(
@@ -633,14 +634,24 @@ def _truncated(
     )
 
 
-def _truncated_run(slots: tuple, buf: memoryview, pos: int) -> DeserializationError:
-    """The truncation error for the first of a run's slots past the end."""
-    for slot in slots[:-1]:
+def _truncated_run(
+    slots: tuple, run: slice, j: int, kind: int, buf: memoryview, pos: int
+) -> DeserializationError:
+    """The truncation error for a step of a level, read from ``pos``.
+
+    It names the first of the slots in ``run`` past the frame's end or,
+    when the whole run fits, the count of slot ``j``.
+    """
+    for slot in slots[run]:
         width = slot.fixed_width_bytes()
         if pos + width > len(buf):
             return _truncated(width, slot.path, buf, pos)
         pos += width
-    return _truncated(slots[-1].fixed_width_bytes(), slots[-1].path, buf, pos)
+    return _truncated(4, slots[j].path, buf, pos, " length" if kind == _STRING else " count")
+
+
+def _bound_error(slot, n: int) -> DeserializationError:
+    return DeserializationError("", slot.path, f": count {n} exceeds bound {slot.arity.size}")
 
 
 def _count_error(arity: Arity, n: int, path: str) -> SerializationError | None:
@@ -655,8 +666,60 @@ def _count_error(arity: Arity, n: int, path: str) -> SerializationError | None:
     return None
 
 
-def _blame(slots: tuple, values) -> SerializationError:
-    """The error for the first of ``slots`` whose value does not pack."""
+def _value_error(codec: Codec, value) -> SerializationError | None:
+    """The error for the first slot of ``value`` that does not encode.
+
+    ``value`` is a value of ``codec``'s level; its slots are checked in wire
+    order, except the elements of its groups, whose errors are raised where
+    they are encoded.  None if every slot encodes.
+    """
+    err = _shape_error(_shape(codec.slots), value, "")
+    if err is not None:
+        return err
+    leaves, slots = codec.get(value), codec.slots
+    for kind, _, run, j, *_ in codec.steps:
+        err = _blame(slots[run], leaves[run])
+        if err is None and kind != _END:
+            err = _tail_error(slots[j], leaves[j])
+        if err is not None:
+            return err
+    return None
+
+
+def _tail_error(slot, v) -> SerializationError | None:
+    """The error for the string, array or group slot ``slot`` given ``v``."""
+    path = slot.path
+    if slot.__class__ is PlanSlot and slot.arity.kind == Arity.SCALAR:
+        return _string_error(v, path)
+    try:
+        n = len(v)
+        iter(v)
+    except TypeError:
+        return SerializationError("expected a sequence", path)
+    err = _count_error(slot.arity, n, path)
+    if err is not None or slot.__class__ is GroupSlot:
+        return err
+    if slot.primitive != "string":
+        return _blame((slot,), (v,))
+    for k, s in enumerate(v):
+        err = _string_error(s, f"{path}[{k}]")
+        if err is not None:
+            return err
+    return None
+
+
+def _string_error(v, path: str) -> SerializationError | None:
+    if not isinstance(v, str):
+        return SerializationError("expected str", path)
+    try:
+        v.encode()
+    except UnicodeEncodeError as e:
+        return SerializationError(f"value not encodable as utf-8 ({e})", path)
+    return None
+
+
+def _blame(slots: tuple, values) -> SerializationError | None:
+    """The error for the first of ``slots`` whose value does not pack, if any."""
     for slot, v in zip(slots, values):
         primitive, path = slot.primitive, slot.path
         if slot.arity.kind == Arity.SCALAR:
@@ -681,7 +744,7 @@ def _blame(slots: tuple, values) -> SerializationError:
             struct.pack(f"<{len(items)}{_STRUCT_CODE[primitive]}", *items)
         except _PACK_ERRORS as e:
             return SerializationError(f"value not encodable as {primitive} ({e})", path)
-    return SerializationError("values not encodable", slots[0].path)
+    return None
 
 
 def _shape_error(tree: dict, value, path: str) -> SerializationError | None:
@@ -700,6 +763,7 @@ def _shape_error(tree: dict, value, path: str) -> SerializationError | None:
         elif isinstance(sub, list):
             try:
                 n = len(v)
+                iter(v)
             except TypeError:
                 return SerializationError("expected a sequence", where)
             err = _count_error(Arity.fixed(len(sub)), n, where)

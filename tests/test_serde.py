@@ -138,6 +138,55 @@ class TestSerialize:
             serialize(value, plan)
         assert err.value.path == "v"
 
+    @pytest.mark.parametrize("bad, path, message", [
+        ({"label": 5, "id": 3, "vals": []}, "items[1].label", "items[1].label: expected str"),
+        ({"label": "x", "id": 70000, "vals": []}, "items[1].id",
+         "items[1].id: value not encodable as uint16 "
+         "(ushort format requires 0 <= number <= 65535)"),
+        ({"label": "x", "id": 1, "vals": [1, 2, 3]}, "items[1].vals",
+         "items[1].vals: bounded array allows at most 2 elements, got 3"),
+    ])
+    def test_error_in_second_group_element(self, bad, path, message):
+        plan = _items_plan()
+        with pytest.raises(SerializationError) as err:
+            serialize({"items": [{"label": "car", "id": 3, "vals": [1]}, bad]}, plan)
+        assert (err.value.path, str(err.value)) == (path, message)
+
+    @pytest.mark.parametrize("names, fixed, path", [
+        (["a", "b", 3], ["", "", ""], "names[2]"),
+        ([], ["", "", b"x"], "fixed[2]"),
+    ])
+    def test_string_array_error_names_element(self, names, fixed, path):
+        _, plan = plan_for("string[] names\nstring[3] fixed")
+        with pytest.raises(SerializationError, match="expected str") as err:
+            serialize({"names": names, "fixed": fixed}, plan)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("src, value, path", [
+        ("string s", {"s": "a\ud800"}, "s"),
+        ("string[] s", {"s": ["ok", "\udfff"]}, "s[1]"),
+    ])
+    def test_string_not_encodable_as_utf8(self, src, value, path):
+        _, plan = plan_for(src)
+        with pytest.raises(SerializationError, match="utf-8") as err:
+            serialize(value, plan)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("field", ["g", "s", "w", "p"])
+    def test_sized_value_that_does_not_iterate(self, field):
+        class Sized:
+            def __len__(self):
+                return 2
+
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("int32 v", "t/I"))
+        reg.register(parse_msg_file("int8 a\nI[] g\nstring[] s\nint16[] w\nI[2] p", "t/M"))
+        plan = flatten(reg.resolve(), "t/M")
+        value = {"a": 1, "g": [], "s": [], "w": [], "p": [{"v": 1}] * 2, field: Sized()}
+        with pytest.raises(SerializationError, match="expected a sequence") as err:
+            serialize(value, plan)
+        assert err.value.path == field
+
     def test_bounded_overflow(self):
         _, plan = plan_for("int32[<=2] v")
         with pytest.raises(SerializationError, match="at most 2"):
@@ -181,6 +230,17 @@ GOLDEN_TYPES = {
     "g/Blob": "uint8[] data\nuint8[3] fixed\nuint8[<=8] small",
     "g/Flags": "bool a\nbool b\nbool c\nbool[3] more\nuint8 n",
     "g/Nest": "Path[] paths\nstring[] names\nint64[<=3] ids",
+    "g/LabelFirst": "string label\nuint16 id\nfloat32 w",
+    "g/TwoLabels": "string a\nint32 n\nstring b",
+    "g/LabelsOnly": "string first\nstring last",
+    "g/Cell": "int8 v\nstring s",
+    "g/Row": "uint16 k\nCell[] cells\nbool done",
+    "g/FlagWhy": "bool on\nstring why",
+    "g/NameVals": "string name\nuint16[<=4] vals",
+    "g/Steps": (
+        "LabelFirst[] first\nTwoLabels[<=3] two\nLabelsOnly[] only\nRow[] rows\n"
+        "FlagWhy[] flags\nNameVals[] named"
+    ),
 }
 
 # (value, its frame as hex): pinned from the slot-by-slot reference encoder
@@ -227,7 +287,41 @@ GOLDEN_FRAMES = {
         "00000002000000787903000000e4b896020000000000000000000080ffffffffffffff7f"
         "000000",
     ),
+    # group elements: a string first, two strings, strings only, a group
+    # inside an element, a bool next to a string, a bounded uint16[] after a
+    # string
+    "g/Steps": (
+        {
+            "first": [{"label": "", "id": 1, "w": 0.5}, {"label": "é", "id": 65535, "w": -2.0}],
+            "two": [{"a": "x", "n": -1, "b": "yz"}, {"a": "", "n": 7, "b": ""}],
+            "only": [{"first": "ab", "last": "c"}, {"first": "世", "last": ""}],
+            "rows": [
+                {"k": 3, "cells": [{"v": -1, "s": "p"}, {"v": 2, "s": ""}], "done": True},
+                {"k": 4, "cells": [], "done": False},
+                {"k": 5, "cells": [{"v": 127, "s": "qrs"}], "done": True},
+            ],
+            "flags": [{"on": True, "why": "go"}, {"on": False, "why": ""}],
+            "named": [
+                {"name": "a", "vals": [1, 2, 3, 4]},
+                {"name": "bcd", "vals": []},
+                {"name": "", "vals": [65535]},
+            ],
+        },
+        "020000000000000001000000003f02000000c3a9ffff000000c0020000000100000078ff"
+        "ffffff02000000797a000000000700000000000000020000000200000061620100000063"
+        "03000000e4b8960000000003000000030002000000ff0100000070020000000001040000"
+        "000000000500010000007f0300000071727301020000000102000000676f000000000003"
+        "000000010000006104000000010002000300040003000000626364000000000000000001"
+        "000000ffff000000",
+    ),
 }
+
+
+def _items_plan():
+    reg = TypeRegistry()
+    reg.register(parse_msg_file("string label\nuint16 id\nuint16[<=2] vals", "t/E"))
+    reg.register(parse_msg_file("E[] items", "t/M"))
+    return flatten(reg.resolve(), "t/M")
 
 
 class TestGoldenFrames:
@@ -280,6 +374,42 @@ class TestDeserialize:
             deserialize(Frame(frame[:24]), plan)
         with pytest.raises(DeserializationError, match=r"for mids\[1\]\.inner\[0\]\.v,"):
             deserialize(Frame(frame[:28]), plan)
+
+    def test_error_in_second_group_element(self):
+        plan = _items_plan()
+        value = {"items": [{"label": "car", "id": 3, "vals": [1]},
+                           {"label": "truck", "id": 4, "vals": [5, 6]}]}
+        frame = bytes(serialize(value, plan).payload)
+        label = frame.index(b"truck")
+        bad_utf8 = frame[:label] + b"\xff" + frame[label + 1 :]
+        over_bound = frame[: label + 7] + b"\x03" + frame[label + 8 :]
+        for data, path, message in [
+            (frame[:24], "items[1].label",
+             "truncated frame: needed 5 bytes for items[1].label, 1 left"),
+            (frame[:28], "items[1].id", "truncated frame: needed 2 bytes for items[1].id, 0 left"),
+            (bad_utf8, "items[1].label",
+             "items[1].label: invalid utf-8 payload ('utf-8' codec can't decode byte 0xff "
+             "in position 0: invalid start byte)"),
+            (over_bound, "items[1].vals", "items[1].vals: count 3 exceeds bound 2"),
+        ]:
+            with pytest.raises(DeserializationError) as err:
+                deserialize(Frame(data), plan)
+            assert (err.value.path, str(err.value)) == (path, message)
+
+    def test_string_array_error_names_element(self):
+        _, plan = plan_for("string[] names\nstring[3] fixed")
+        value = {"names": ["a", "b", "cdefg"], "fixed": ["x", "y", "zz"]}
+        frame = bytes(serialize(value, plan).payload)
+        bad_utf8 = frame.replace(b"cdefg", b"\xffdefg")
+        for data, message in [
+            (frame[:20], "truncated frame: needed 5 bytes for names[2], 2 left"),
+            (frame[:24], "truncated frame: needed 4 bytes for fixed[0] length, 1 left"),
+            (bad_utf8, "names[2]: invalid utf-8 payload ('utf-8' codec can't decode byte 0xff "
+             "in position 0: invalid start byte)"),
+        ]:
+            with pytest.raises(DeserializationError) as err:
+                deserialize(Frame(data), plan)
+            assert str(err.value) == message
 
     def test_count_exceeding_remaining_bytes(self):
         _, plan = plan_for("uint8[] v")
@@ -384,6 +514,48 @@ class TestRoundTrip:
         value = random_value(rng, registry, root)
         frame = serialize(value, plan)
         assert len(frame.payload) == (plan.fixed_size_bytes + 3) // 4 * 4
+
+
+class TestErrorContract:
+    """Bad values and bad frames fail only with the codec's own errors."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_mutated_value_raises_serialization_error(self, seed):
+        rng = random.Random(seed)
+        registry, root = random_registry(rng)
+        value = random_value(rng, registry, root)
+        mutated, kind = mutate_value(rng, registry, root, value)
+        try:
+            serialize(mutated, flatten(registry, root))
+        except SerializationError as e:
+            assert e.path
+            return
+        # the one mutation that encodes: a bool given an int, which is
+        # integer-like as a bool must be
+        changed = [f for f in registry.get(root).fields if mutated.get(f.name) != value[f.name]]
+        assert kind == "retype" and [(f.type_name, f.arity.kind) for f in changed] == [
+            ("bool", "scalar")
+        ]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_cut_or_corrupted_frame_raises_deserialization_error(self, seed):
+        rng = random.Random(seed)
+        registry, root = random_registry(rng)
+        plan = flatten(registry, root)
+        frame = bytes(serialize(random_value(rng, registry, root), plan).payload)
+        for cut in range(0, len(frame), 4):
+            with pytest.raises(DeserializationError):
+                deserialize(Frame(frame[:cut]), plan)
+        for _ in range(3 if frame else 0):
+            corrupted = bytearray(frame)
+            for _ in range(rng.randint(1, 4)):
+                corrupted[rng.randrange(len(frame))] = rng.randrange(256)
+            try:
+                deserialize(Frame(bytes(corrupted)), plan)
+            except DeserializationError:
+                pass
 
 
 class TestConformance:
