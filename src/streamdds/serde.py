@@ -23,12 +23,11 @@ done once, when a topology is built; ``serialize`` and ``deserialize`` only
 run it.  Each level of a plan (its top level, and the element of each group
 slot) compiles into its own ``Codec``:
 
-- a reader of the level's slot values and a builder of its dict.  A level
-  whose slots are all fields of one dict reads them with one
-  ``operator.itemgetter`` and builds the dict with a dict display (with
-  ``dict(zip(...))`` above eight fields); a level
-  with nested scalar types or fixed arrays of them uses a shape tree nested
-  once from the slot paths;
+- a reader of the level's slot values and a builder of its dict, from a
+  shape tree nested once from the slot paths.  A level whose slots are all
+  fields of one dict reads them with one ``operator.itemgetter``, and
+  builds its dict with a dict display if it has at most eight fields, else
+  with ``dict(zip(...))``;
 - steps over those slot values in wire order.  Each step has one pre-built
   ``struct.Struct`` for a run of consecutive fixed-width slots (scalars
   other than string, and fixed arrays of numbers other than ``uint8``) and
@@ -221,13 +220,14 @@ class Codec:
     """One level of a plan compiled: a message's top level, or a group's element.
 
     ``get(value)`` reads the level's slot values from a value, in plan order,
-    as a tuple.  ``steps`` encode and decode them (see ``_step``).
-    ``build(keys, values)`` makes a value back from its slot values; ``keys``
-    are the slot paths of a level whose slots are all fields of one dict,
-    else None.  ``slots`` are the level's plan slots.
+    as a tuple, and ``build(values)`` makes a value back from them.  A flat
+    level of at most eight fields reads them with ``_getter`` and builds its
+    dict with one of ``_DICTS``; any other level uses its shape tree
+    (``_tree_codec``).  ``steps`` encode and decode the slot values (see
+    ``_step``).  ``slots`` are the level's plan slots.
     """
 
-    __slots__ = ("get", "steps", "keys", "build", "slots")
+    __slots__ = ("get", "steps", "build", "slots")
 
     def __init__(self, slots: tuple):
         self.slots = slots
@@ -257,25 +257,17 @@ class Codec:
         if shape:
             steps.append(_step(_END, codes, shape, bools, start, len(slots), _NO_BOUND, None))
         self.steps = tuple(steps)
-        paths = [slot.path for slot in slots]
-        if any("." in path for path in paths):
-            self.keys = None
-            self.get, build = _tree_codec(_shape(slots))
-            self.build = partial(_build_tree, build)
+        keys = [slot.path for slot in slots]
+        if len(keys) < len(_DICTS) and not any("." in key for key in keys):
+            self.get, self.build = _getter(keys), partial(_DICTS[len(keys)], tuple(keys))
         else:
-            self.keys = tuple(paths)
-            self.build = _DICTS[len(paths)] if len(paths) < len(_DICTS) else _dict_zip
-            if len(paths) > 1:
-                self.get = itemgetter(*paths)
-            elif paths:  # a tuple whose second item is never read
-                self.get = itemgetter(paths[0], paths[0])
-            else:
-                self.get = _get_none
+            self.get, self.build = _tree_codec(_shape(slots))
 
 
 # Builders of a flat level's dict from its keys and slot values, by field
-# count: a dict display builds a six-field dict in half the time
-# ``dict(zip(keys, values))`` takes.
+# count; larger levels keep the shape tree's ``dict(zip(keys, values))``.  A
+# dict display builds a six-field dict in a little over half that time,
+# which is most of what decoding saves on a group of many small elements.
 _DICTS = (
     lambda k, v: {},
     lambda k, v: {k[0]: v[0]},
@@ -291,31 +283,25 @@ _DICTS = (
 )
 
 
-def _dict_zip(keys, values) -> dict:
-    return dict(zip(keys, values))
-
-
-def _build_tree(build, keys, values) -> dict:
-    return build(values)
-
-
 def _step(kind, codes, shape, bools, i, j, bound, sub) -> tuple:
     """One step: slots ``i..j-1`` of a level, fixed-width, and then slot ``j``.
 
     ``(kind, packer, run, j, mixed, bound, sub)``: ``run`` is
     ``slice(i, j)`` (a stored slice saves building one per value), and
-    ``packer`` is one
-    ``struct.Struct`` for the run and, when slot ``j`` has one, its uint32
-    count (a string's byte length, an array's or a group's element count).
-    ``kind`` says what slot ``j`` is: ``_STRING`` (its bytes follow the
-    length), ``_GROUP`` (``sub``, the element's ``Codec``, encodes and decodes
-    its elements in one loop), ``_ARRAY``, or ``_END`` when the run ends the
-    level.  ``mixed`` is None for a run of plain scalars; for a run with
-    fixed arrays or bools it is ``(shape, bools)``: per slot 0 for a scalar
-    or the length of an array, and the bool slots' places in the run.
-    ``bound`` is slot ``j``'s element count if it is a fixed array, else its
-    largest count.
+    ``packer`` is one ``struct.Struct`` for the run and, when slot ``j`` has
+    one, its uint32 count (a string's byte length, an array's or a group's
+    element count).  ``kind`` says what slot ``j`` is: ``_STRING`` (its
+    bytes follow the length), ``_GROUP`` (``sub``, the element's ``Codec``,
+    encodes and decodes its elements in one loop), ``_ARRAY``, or ``_END``
+    when the run ends the level.  ``mixed`` is None for a run of plain
+    scalars; for a run with fixed arrays or bools it is ``(shape, bools)``:
+    per slot 0 for a scalar or the length of an array, and the bool slots'
+    places in the run.  A fixed array with no run before it has nothing to
+    pack: its ``packer`` is None and ``mixed`` is ``()``.  ``bound`` is slot
+    ``j``'s element count if it is a fixed array, else its largest count.
     """
+    if len(codes) == 1:
+        return (kind, None, slice(i, j), j, (), bound, sub)
     mixed = (tuple(shape), tuple(bools)) if any(shape) or bools else None
     return (kind, struct.Struct("".join(codes)), slice(i, j), j, mixed, bound, sub)
 
@@ -445,7 +431,12 @@ def _encode(codec: Codec, values, out: _Out, path: str | None) -> None:
         for k, value in enumerate(values):
             leaves = get(value)
             for kind, packer, run, j, mixed, bound, sub in steps:
-                args = leaves[run] if mixed is None else _run_args(mixed, leaves[run])
+                if mixed is None:
+                    args = leaves[run]
+                elif mixed:
+                    args = _run_args(mixed, leaves[run])
+                else:
+                    args = ()
                 if kind == _STRING:
                     data = _utf8(leaves[j])
                     out += packer.pack(*(args + (len(data),)))
@@ -530,7 +521,7 @@ def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None):
     Returns them in a list, with the position after them.  ``path`` is as
     for ``_encode``.
     """
-    steps, keys, build, slots = codec.steps, codec.keys, codec.build, codec.slots
+    steps, build, slots = codec.steps, codec.build, codec.slots
     end = len(buf)
     values = []
     try:
@@ -539,9 +530,10 @@ def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None):
             for kind, packer, run, j, mixed, bound, sub in steps:
                 if mixed is None:
                     leaves += packer.unpack_from(buf, pos)
-                else:
+                    pos += packer.size
+                elif mixed:
                     leaves += _regroup(mixed[0], packer.unpack_from(buf, pos))
-                pos += packer.size
+                    pos += packer.size
                 if kind == _STRING:
                     stop = pos + leaves[-1]
                     if stop > end:
@@ -555,7 +547,7 @@ def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None):
                     leaves[-1], pos = _decode(sub, count, buf, pos, slots[j].path)
                 elif kind == _ARRAY:
                     pos = _dec_array(slots[j], bound, buf, pos, leaves)
-            values.append(build(keys, leaves))
+            values.append(build(leaves))
         return values, pos
     except DeserializationError as e:
         err = e

@@ -485,6 +485,25 @@ class TestRoundTrip:
             value = random_value(rng, registry, root)
             assert deserialize(serialize(value, plan), plan) == value
 
+    @pytest.mark.parametrize("n", range(11))
+    def test_flat_level_of_every_width(self, n):
+        # flat levels of up to eight fields build their dict one way, larger
+        # ones another: cover both, at the top level and in a group element
+        fields = "".join(f"int16 f{k}\n" for k in range(n))
+        reg = TypeRegistry()
+        reg.register(parse_msg_file(fields, "t/E"))
+        reg.register(parse_msg_file(fields + "E[] items", "t/M"))
+        reg = reg.resolve()
+        plan = flatten(reg, "t/M")
+        element = {f"f{k}": k - 5 for k in range(n)}
+        value = {**element, "items": [element, {**element}]}
+        frame = serialize(value, plan)
+        assert bytes(frame.payload) == reference_frame(reg, "t/M", value)
+        decoded = deserialize(frame, plan)
+        assert decoded == value
+        assert list(decoded) == list(value)
+        assert all(list(item) == list(element) for item in decoded["items"])
+
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9))
     def test_property_round_trip(self, seed):
