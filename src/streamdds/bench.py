@@ -18,9 +18,12 @@ desk scale:
 Harness conventions: the transfer and fan-out scenarios drive every port
 from one harness thread over full-frame-capacity links (publish returns
 after enqueue; the take immediately after measures the receive-side
-movement), which keeps scheduler wake latency out of the size ladder.  The
-chain scenario runs every node as a real thread on purpose: its jitter
-comparison is about exactly that scheduling.  Baseline and streaming
+movement), which keeps scheduler wake latency out of the size ladder.  In
+the sequential chain scenario the streaming runtime runs all five stages in
+one static context, the first stage's thread, which calls each later stage
+inside its publisher's publish, while the baseline keeps a thread per
+node; its jitter comparison is about exactly that difference in
+scheduling.  Baseline and streaming
 repetitions are interleaved in time so their ratio is immune to host
 throughput drift, the garbage collector is paused during measured loops,
 and the first 5% of repetitions are discarded as warm-up everywhere.
@@ -479,7 +482,11 @@ def chain_spec() -> AppSpec:
 
 
 class _StreamChainRig:
-    """Five-stage pipeline running as real node threads, one image per rep.
+    """Five-stage pipeline in one static context, one image per rep.
+
+    In sequential mode ``compensate`` owns the only node thread and the
+    runtime fuses the other four stages into it; dataflow stages keep a
+    thread each.
 
     Chain duration runs from the first node's completed receipt of the
     camera frame to the last node's completed command publish, read from

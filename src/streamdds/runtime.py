@@ -28,11 +28,25 @@ per-context ``Waker``, a bare lock, rather than spinning; shutdown closes
 every channel and token, which wakes and fails all parked operations and
 discards partial frames.
 
-Execution contexts: one thread per kernel-driven node and nothing else.
-Nodes run in one of two modes: ``sequential`` (take whole messages,
-compute, publish) or ``dataflow`` (the body streams chunks through the
-node, overlapping receive, compute, and send).  Nodes mapped to the
-EXTERNAL kernel get no thread; their ports are driven by the caller.
+Execution contexts are chosen when the instance is built, from the graph's
+shape alone.  Nodes run in one of two modes: ``sequential`` (take whole
+messages, compute, publish) or ``dataflow`` (the body streams chunks
+through the node, overlapping receive, compute, and send).  Nodes mapped to
+the EXTERNAL kernel get no thread; their ports are driven by the caller.
+A sequential node runs inside its publisher's context when its one
+subscription has no FIFO depth and its topic's only publisher is another
+sequential kernel node, unless following publishers upward leads back to
+it.  Such a fused edge has no channel: the publisher serializes once,
+writes any threaded subscribers' channels, then hands the frame to each
+fused subscriber by call, which reassembles, decodes, runs the node's body
+and its own publishes before the publish returns.  A full downstream
+channel therefore blocks the whole fused chain, as keep-all requires.
+Every other kernel-driven node gets one thread.  ``contexts()`` reports the
+result.  Because a context runs its nodes' publishes one after another, two
+paths out of one context that meet again at a node taking them in the
+other order can block over narrow links where separate threads would not;
+a ``fifo=`` depth on the fused subscription keeps that node in a thread of
+its own.
 """
 
 from __future__ import annotations
@@ -413,9 +427,14 @@ class PortHandle:
     blocked port parks on its ``waker``, a bare lock.
 
     ``channels`` are the channels the port moves words through: a
-    subscriber's own FIFO, or every subscriber FIFO of a publisher's topic.
-    ``channel`` is the first of them.  ``token`` is the topic's FrameToken
-    when it has several publishers.
+    subscriber's own FIFO, or every threaded subscriber FIFO of a
+    publisher's topic.  ``channel`` is the first of them, or None.
+    ``token`` is the topic's FrameToken when it has several publishers.
+
+    A publisher's ``fused`` are the subscriber ports whose nodes run inside
+    its context; ``publish_blocking`` hands each frame to their ``deliver``
+    call.  Such a subscriber has no channel, and ``fused_into`` names the
+    context that runs it.
     """
 
     def __init__(
@@ -436,13 +455,17 @@ class PortHandle:
         self.port_name = port_name
         self.plan = plan
         self.channels = tuple(channels)
-        self.channel = self.channels[0]
+        self.channel = self.channels[0] if self.channels else None
         self._token = token
         self._clock = clock
         self._trace = trace
         self.waker = Waker()
+        self.fused: tuple[PortHandle, ...] = ()
+        self.fused_into: str | None = None
+        self.deliver: Callable[[list, FrameMeta], None] | None = None
         if direction == SUB:
-            self.channel.reader_waker = self.waker
+            if self.channel is not None:
+                self.channel.reader_waker = self.waker
         elif token is None:
             for ch in self.channels:
                 ch.writer_waker = self.waker
@@ -461,6 +484,19 @@ class PortHandle:
         if self.direction != direction:
             op = "write" if direction == PUB else "read"
             raise ValueError(f"port {self.node}.{self.port_name} cannot {op}")
+        if self.fused_into is not None:
+            raise ValueError(
+                f"port {self.node}.{self.port_name} has no channel: node {self.node!r} "
+                f"runs inside context {self.fused_into!r}, which hands it each frame"
+            )
+
+    def _require_unfused(self, op: str) -> None:
+        if self.fused:
+            nodes = ", ".join(repr(p.node) for p in self.fused)
+            raise ValueError(
+                f"{op} on port {self.node}.{self.port_name}: topic {self.topic!r} feeds "
+                f"{nodes} by call in this context; use publish_blocking"
+            )
 
     # -- publisher --------------------------------------------------------
 
@@ -546,26 +582,37 @@ class PortHandle:
                 return
 
     def publish_blocking(self, value: MessageValue) -> None:
-        """Send one message; returns after the last word is accepted downstream."""
+        """Send one message; returns after the last word is accepted downstream.
+
+        Then each fused subscriber receives the frame by call, and its node
+        runs, publishes included, before this returns.
+        """
         self._require(PUB)
         segments = serialize_segments(value, self.plan)
         meta = self._new_meta()
-        self._take_token()
-        try:
-            self._push(segments, True, meta)
-        finally:
-            self._give_token()
+        if self.channels:
+            self._take_token()
+            try:
+                self._push(segments, True, meta)
+            finally:
+                self._give_token()
+        else:
+            meta.t_first_sent = meta.t_last_sent = self._clock()
         self.last_times = FrameTimes(
             meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
         )
+        for sub in self.fused:
+            sub.deliver(segments, meta)
 
     def publish_try(self, value: MessageValue) -> bool:
         """Send only if the whole frame fits downstream right now.
 
         Returns False without sending while another publisher of the topic
-        is mid-frame.
+        is mid-frame.  Raises ValueError on a topic with fused subscribers,
+        whose nodes would run, and may block, inside this call.
         """
         self._require(PUB)
+        self._require_unfused("publish_try")
         segments = serialize_segments(value, self.plan)
         if not self._take_token(blocking=False):
             return False
@@ -592,9 +639,11 @@ class PortHandle:
         word boundary.  A whole number of words given as ``bytes`` while no
         tail is held goes to the channels by reference; anything else is
         copied once.  The port holds the topic's frame token from the
-        frame's first call to its ``last`` one.
+        frame's first call to its ``last`` one.  Raises ValueError on a
+        topic with fused subscribers, which take only whole frames.
         """
         self._require(PUB)
+        self._require_unfused("write_chunk")
         if self._tx_meta is None:
             self._take_token()
             self._tx_meta = self._new_meta()
@@ -678,6 +727,15 @@ class PortHandle:
                 self._rx_len = 0
                 self._finish_frame(meta, first_t)
                 return deserialize(Frame(self._rx.view[:n]), self.plan)
+
+    def _accept(self, segments, meta: FrameMeta) -> MessageValue:
+        """Reassemble and decode a frame a fused publisher hands over by call."""
+        first_t = self._clock()
+        n = 0
+        for segment in segments:
+            n = self._rx.write(n, segment)
+        self._finish_frame(meta, first_t)
+        return deserialize(Frame(self._rx.view[:n]), self.plan)
 
     def take_blocking(self) -> MessageValue:
         """Receive the oldest complete message, waiting as long as needed."""
@@ -779,11 +837,13 @@ class KernelFault:
 
 
 class RuntimeInstance:
-    """A startable set of node contexts over a topology's channels.
+    """A startable set of execution contexts over a topology's channels.
 
-    Each kernel-driven node runs one thread and nothing else does: arbiters
-    and broadcasters run in the publishing thread, and EXTERNAL nodes in the
-    caller's.
+    Each context is one thread running a chain of nodes: a root node and
+    the sequential nodes fused into it, which run by call inside its
+    publishes (see the module docstring).  Arbiters and
+    broadcasters run in the publishing thread, and EXTERNAL nodes in the
+    caller's.  ``contexts()`` lists each thread with the nodes it runs.
     """
 
     def __init__(self, graph: TopologyGraph, config: RuntimeConfig):
@@ -794,11 +854,12 @@ class RuntimeInstance:
         self._ports: dict[tuple[str, str], PortHandle] = {}
         self._channels: list[StreamChannel] = []
         self._tokens: list[FrameToken] = []
-        self._contexts: list[tuple[str, Callable[[], None]]] = []
+        # (thread name, nodes in call order, thread target)
+        self._contexts: list[tuple[str, tuple[str, ...], Callable[[], None]]] = []
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._started = False
-        self._closed = False
+        self._shut = threading.Event()
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -821,12 +882,16 @@ class RuntimeInstance:
     def channels(self) -> list[StreamChannel]:
         return list(self._channels)
 
+    def contexts(self) -> dict[str, list[str]]:
+        """Each thread's name with the nodes it runs, in call order."""
+        return {name: list(nodes) for name, nodes, _ in self._contexts}
+
     def start(self) -> "RuntimeInstance":
         with self._lock:
-            if self._started or self._closed:
+            if self._started or self._shut.is_set():
                 return self
             self._started = True
-            for name, target in self._contexts:
+            for name, _, target in self._contexts:
                 t = threading.Thread(target=target, name=name, daemon=True)
                 self._threads.append(t)
                 t.start()
@@ -846,9 +911,9 @@ class RuntimeInstance:
 
     def _abort(self) -> None:
         with self._lock:
-            if self._closed:
+            if self._shut.is_set():
                 return
-            self._closed = True
+            self._shut.set()
         for ch in self._channels:
             ch.close()
         for token in self._tokens:
@@ -856,7 +921,7 @@ class RuntimeInstance:
 
     @property
     def closed(self) -> bool:
-        return self._closed
+        return self._shut.is_set()
 
     def __enter__(self) -> "RuntimeInstance":
         return self.start()
@@ -876,17 +941,7 @@ class RuntimeInstance:
                 subs = {t: ports.sub(t) for t in ports.sub_topics}
                 pubs = {t: ports.pub(t) for t in ports.pub_topics}
                 while True:
-                    inputs = {t: p.take_blocking() for t, p in subs.items()}
-                    outputs = kernel.body(inputs) or {}
-                    unknown = outputs.keys() - pubs.keys()
-                    if unknown:
-                        raise ValueError(
-                            f"kernel {kernel.kernel_id!r} returned values for "
-                            f"topics it does not publish: {sorted(unknown)}"
-                        )
-                    for t, p in pubs.items():
-                        if t in outputs:
-                            p.publish_blocking(outputs[t])
+                    _run_body(kernel, {t: p.take_blocking() for t, p in subs.items()}, pubs)
             else:
                 while True:
                     kernel.body(ports)
@@ -894,6 +949,51 @@ class RuntimeInstance:
             pass
         except BaseException as e:  # noqa: BLE001 - kernel faults stop the instance
             self._record_fault(node, e)
+
+    def _fused_delivery(
+        self, node: str, kernel: NodeKernel, sub: PortHandle, pubs: dict[str, PortHandle]
+    ) -> Callable[[list, FrameMeta], None]:
+        """The call that runs fused ``node`` on each frame its publisher sends.
+
+        A fault is recorded under ``node`` and unwinds the host thread as a
+        ShutdownError.  After ``StopKernel`` the node takes no more frames:
+        the next one parks its publisher until shutdown, as a stopped
+        thread's full channel would.
+        """
+        topic = sub.topic
+        stopped = False
+
+        def deliver(segments, meta: FrameMeta) -> None:
+            nonlocal stopped
+            if stopped:
+                self._shut.wait()
+            if self._shut.is_set():
+                raise ShutdownError(f"node {node}: the runtime is shut down")
+            try:
+                _run_body(kernel, {topic: sub._accept(segments, meta)}, pubs)
+            except ShutdownError:
+                raise
+            except StopKernel:
+                stopped = True
+            except BaseException as e:  # noqa: BLE001 - kernel faults stop the instance
+                self._record_fault(node, e)
+                raise ShutdownError(f"node {node} faulted") from e
+
+        return deliver
+
+
+def _run_body(kernel: NodeKernel, inputs: dict, pubs: dict[str, PortHandle]) -> None:
+    """One iteration of a sequential node: call the body, publish its outputs."""
+    outputs = kernel.body(inputs) or {}
+    unknown = outputs.keys() - pubs.keys()
+    if unknown:
+        raise ValueError(
+            f"kernel {kernel.kernel_id!r} returned values for "
+            f"topics it does not publish: {sorted(unknown)}"
+        )
+    for t, p in pubs.items():
+        if t in outputs:
+            p.publish_blocking(outputs[t])
 
 
 def _fifo_capacity_words(
@@ -910,6 +1010,47 @@ def _fifo_capacity_words(
     return max(1, depth * words)
 
 
+def _fused_nodes(graph: TopologyGraph, kernels: dict[str, NodeKernel]) -> set[str]:
+    """The nodes that run inside their publisher's context.
+
+    A sequential node qualifies when its one subscription has no FIFO depth
+    and its topic's only publisher is another sequential node.  Following
+    publishers upward from it must reach a thread-owning root, never the
+    node itself: the members of a ring of such nodes each keep a thread.
+    """
+    parent: dict[str, str] = {}
+    for node in graph.nodes:
+        subs = [p for p in node.ports if p.direction == SUB]
+        if kernels[node.name].mode != SEQUENTIAL or len(subs) != 1:
+            continue
+        publishers = graph.topic(subs[0].topic).publishers
+        if subs[0].fifo_depth is not None or len(publishers) != 1:
+            continue
+        pub = publishers[0].node
+        if pub != node.name and kernels[pub].mode == SEQUENTIAL:
+            parent[node.name] = pub
+    fused = set()
+    for node, pub in parent.items():
+        seen = set()
+        while pub in parent and pub != node and pub not in seen:
+            seen.add(pub)
+            pub = parent[pub]
+        if pub != node:
+            fused.add(node)
+    return fused
+
+
+# module level: a recursive closure would hold every port in a reference
+# cycle, so an instance's buffers would outlive it until the collector ran
+def _call_order(node: str, node_ports: dict[str, tuple[dict, dict]]) -> list[str]:
+    """``node``, then depth first the fused nodes its publishes call."""
+    order = [node]
+    for port in node_ports.get(node, ({}, {}))[1].values():
+        for sub in port.fused:
+            order += _call_order(sub.node, node_ports)
+    return order
+
+
 def instantiate(
     graph: TopologyGraph,
     kernels: dict[str, NodeKernel],
@@ -919,11 +1060,26 @@ def instantiate(
 
     ``kernels`` maps kernel ids to NodeKernel; map a node's kernel id to
     EXTERNAL to drive its ports from the caller instead of a thread.
-    Contexts are created but not started; call ``start()`` or use the
-    instance as a context manager.
+    Contexts are chosen from the graph's shape (see the module docstring),
+    created but not started; call ``start()`` or use the instance as a
+    context manager.
     """
     config = config or RuntimeConfig()
     inst = RuntimeInstance(graph, config)
+    node_kernels: dict[str, NodeKernel] = {}
+    for node in graph.nodes:
+        kernel = kernels.get(node.kernel_id)
+        if kernel is None:
+            raise RuntimeBuildError(
+                f"node {node.name!r} needs kernel {node.kernel_id!r}, "
+                f"which is not in the kernel map"
+            )
+        if kernel.mode not in (SEQUENTIAL, DATAFLOW, EXTERNAL_MODE):
+            raise RuntimeBuildError(f"node {node.name!r}: unknown kernel mode {kernel.mode!r}")
+        if kernel.mode != EXTERNAL_MODE and kernel.body is None:
+            raise RuntimeBuildError(f"node {node.name!r}: kernel {kernel.kernel_id!r} has no body")
+        node_kernels[node.name] = kernel
+    fused_nodes = _fused_nodes(graph, node_kernels)
     node_ports: dict[str, tuple[dict, dict]] = {}
 
     def make_port(ref, direction, topic, plan, channels, token=None):
@@ -934,11 +1090,16 @@ def instantiate(
         inst._ports[(ref.node, port.port_name)] = port
         subs, pubs = node_ports.setdefault(ref.node, ({}, {}))
         (subs if direction == SUB else pubs)[topic] = port
+        return port
 
     for tp in graph.topics:
         plan = graph.plans[tp.topic]
         channels = []
+        fused = []  # subscriber ports fed by call, without a channel
         for ref in tp.subscribers:
+            if ref.node in fused_nodes:
+                fused.append(make_port(ref, SUB, tp.topic, plan, []))
+                continue
             words = (
                 _fifo_capacity_words(plan, ref.fifo_depth, config, tp.topic)
                 if ref.fifo_depth is not None
@@ -949,35 +1110,27 @@ def instantiate(
             make_port(ref, SUB, tp.topic, plan, [ch])
         if not tp.publishers:
             continue
-        if not channels:  # unread: reliable publishers block once it fills
+        if not tp.subscribers:  # unread: reliable publishers block once it fills
             channels.append(inst._new_channel(config.default_capacity_words, f"{tp.topic}.sink"))
         token = None
         if len(tp.publishers) > 1:
             token = FrameToken(tp.topic)
             inst._tokens.append(token)
         for ref in tp.publishers:
-            make_port(ref, PUB, tp.topic, plan, channels, token)
+            make_port(ref, PUB, tp.topic, plan, channels, token).fused = tuple(fused)
 
     for node in graph.nodes:
-        kernel = kernels.get(node.kernel_id)
-        if kernel is None:
-            raise RuntimeBuildError(
-                f"node {node.name!r} needs kernel {node.kernel_id!r}, "
-                f"which is not in the kernel map"
-            )
-        if kernel.mode == EXTERNAL_MODE:
+        kernel = node_kernels[node.name]
+        if kernel.mode == EXTERNAL_MODE or node.name in fused_nodes:
             continue
-        if kernel.mode not in (SEQUENTIAL, DATAFLOW):
-            raise RuntimeBuildError(f"node {node.name!r}: unknown kernel mode {kernel.mode!r}")
-        if kernel.body is None:
-            raise RuntimeBuildError(f"node {node.name!r}: kernel {kernel.kernel_id!r} has no body")
-        subs, pubs = node_ports.get(node.name, ({}, {}))
-        ports = NodePorts(subs, pubs)
+        name, order = f"node:{node.name}", _call_order(node.name, node_ports)
+        for fused_node in order[1:]:
+            subs, pubs = node_ports[fused_node]
+            (sub,) = subs.values()
+            sub.fused_into = name
+            sub.deliver = inst._fused_delivery(fused_node, node_kernels[fused_node], sub, pubs)
+        ports = NodePorts(*node_ports.get(node.name, ({}, {})))
         inst._contexts.append(
-            (
-                f"node:{node.name}",
-                lambda n=node.name, k=kernel, p=ports: inst._node_loop(n, k, p),
-            )
+            (name, tuple(order), lambda n=node.name, k=kernel, p=ports: inst._node_loop(n, k, p))
         )
     return inst
-

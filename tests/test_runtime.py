@@ -4,11 +4,12 @@ import threading
 import time
 from collections import Counter
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
 from streamdds import serde
-from streamdds.msgdef import TypeRegistry, parse_msg_file
+from streamdds.msgdef import TypeRegistry, load_msg_tree, parse_msg_file
 from streamdds.serde import VIEW_MIN_BYTES, serialize, serialize_segments
 from streamdds.runtime import (
     DATAFLOW,
@@ -836,6 +837,217 @@ class TestNodesAndModes:
             got = [sub.take_blocking()["data"][1] for _ in range(3)]
             assert got == [1, 2, 3]
             assert not inst.faults
+
+
+VEHICLE = Path(__file__).resolve().parent.parent / "configs" / "vehicle"
+
+# a -> T -> b, fed by an external source: b runs inside a's context
+CHAIN_CFG = (
+    "node src\n pub in demo/Img\n"
+    "node a\n sub in demo/Img\n pub T demo/Img\n"
+    "node b\n sub T demo/Img\n pub out demo/Img\n"
+    "node dst\n sub out demo/Img fifo=8\n"
+)
+
+
+def relay(node: str, t_in: str, t_out: str) -> NodeKernel:
+    return NodeKernel(node, SEQUENTIAL, lambda inputs: {t_out: inputs[t_in]})
+
+
+class TestExecutionContexts:
+    def test_vehicle_config_runs_two_contexts(self):
+        graph = build_topology(
+            parse_config((VEHICLE / "nodes.cfg").read_text()), load_msg_tree(VEHICLE / "msgs")
+        )
+        kernels = {n.kernel_id: NodeKernel(n.kernel_id, SEQUENTIAL, lambda _: {})
+                   for n in graph.nodes}
+        kernels["camera"] = kernels["actuator"] = EXTERNAL
+        inst = instantiate(graph, kernels)
+        assert inst.contexts() == {
+            "node:compensate": [
+                "compensate", "blur", "project", "extract", "red_light", "green_light"
+            ],
+            "node:steer": ["steer"],
+        }
+        assert len(inst.channels()) == 5
+        before = set(threading.enumerate())
+        with inst:
+            started = set(threading.enumerate()) - before
+            assert sorted(t.name for t in started) == ["node:compensate", "node:steer"]
+
+    @pytest.mark.parametrize(
+        "cfg, modes, contexts",
+        [
+            (
+                "node a\n pub T demo/Img\nnode n\n sub T demo/Img\n",
+                {"a": SEQUENTIAL, "n": SEQUENTIAL},
+                {"node:a": ["a", "n"]},
+            ),
+            (
+                "node a\n pub T demo/Img\nnode n\n sub T demo/Img\n",
+                {"a": EXTERNAL, "n": SEQUENTIAL},
+                {"node:n": ["n"]},
+            ),
+            (
+                "node a\n pub T demo/Img\nnode n\n sub T demo/Img\n",
+                {"a": SEQUENTIAL, "n": DATAFLOW},
+                {"node:a": ["a"], "node:n": ["n"]},
+            ),
+            (
+                "node a\n pub T demo/Img\nnode n\n sub T demo/Img\n",
+                {"a": DATAFLOW, "n": SEQUENTIAL},
+                {"node:a": ["a"], "node:n": ["n"]},
+            ),
+            (
+                "node a\n pub T demo/Img\nnode n\n sub T demo/Img fifo=2\n",
+                {"a": SEQUENTIAL, "n": SEQUENTIAL},
+                {"node:a": ["a"], "node:n": ["n"]},
+            ),
+            (
+                "node a\n pub T demo/Img\n pub U demo/Img\n"
+                "node n\n sub T demo/Img\n sub U demo/Img\n",
+                {"a": SEQUENTIAL, "n": SEQUENTIAL},
+                {"node:a": ["a"], "node:n": ["n"]},
+            ),
+            (
+                "node a\n pub T demo/Img\nnode a2\n pub T demo/Img\nnode n\n sub T demo/Img\n",
+                {"a": SEQUENTIAL, "a2": SEQUENTIAL, "n": SEQUENTIAL},
+                {"node:a": ["a"], "node:a2": ["a2"], "node:n": ["n"]},
+            ),
+            (
+                "node x\n sub R2 demo/Img\n pub R1 demo/Img\n"
+                "node y\n sub R1 demo/Img\n pub R2 demo/Img\n",
+                {"x": SEQUENTIAL, "y": SEQUENTIAL},
+                {"node:x": ["x"], "node:y": ["y"]},
+            ),
+            (
+                "node x\n sub R2 demo/Img\n pub R1 demo/Img\n"
+                "node y\n sub R1 demo/Img\n pub R2 demo/Img\n"
+                "node z\n sub R1 demo/Img\n",
+                {"x": SEQUENTIAL, "y": SEQUENTIAL, "z": SEQUENTIAL},
+                {"node:x": ["x", "z"], "node:y": ["y"]},
+            ),
+        ],
+        ids=[
+            "fused", "external-publisher", "dataflow-subscriber", "dataflow-publisher",
+            "fifo", "two-subscriptions", "two-publishers", "ring", "ring-feeds-fused",
+        ],
+    )
+    def test_fusion_rules(self, registry, cfg, modes, contexts):
+        kernels = {
+            node: EXTERNAL if mode is EXTERNAL else NodeKernel(node, mode, lambda _: {})
+            for node, mode in modes.items()
+        }
+        inst = build(cfg, registry, kernels)
+        assert inst.contexts() == contexts
+        inst.shutdown()
+
+    def test_mixed_broadcast_delivers_every_frame_in_order(self, registry):
+        cfg = (
+            "node src\n pub in demo/Img\n"
+            "node a\n sub in demo/Img\n pub T demo/Img\n"
+            "node b\n sub T demo/Img\n pub out1 demo/Img\n"
+            "node c\n sub T demo/Img fifo=2\n pub out2 demo/Img\n"
+            "node d1\n sub out1 demo/Img\nnode d2\n sub out2 demo/Img\n"
+        )
+        kernels = {"src": EXTERNAL, "d1": EXTERNAL, "d2": EXTERNAL,
+                   "a": relay("a", "in", "T"), "b": relay("b", "T", "out1"),
+                   "c": relay("c", "T", "out2")}
+        inst = build(cfg, registry, kernels, trace=True)
+        assert inst.contexts() == {"node:a": ["a", "b"], "node:c": ["c"]}
+        n = 200
+        got = {"d1": [], "d2": []}
+
+        def drain(node, topic):
+            sub = inst.subscriber(node, topic)
+            for _ in range(n):
+                got[node].append(sub.take_blocking()["data"][1])
+
+        with inst, watchdog(inst):
+            drains = [threading.Thread(target=drain, args=a)
+                      for a in (("d1", "out1"), ("d2", "out2"))]
+            for t in drains:
+                t.start()
+            pub = inst.publisher("src", "in")
+            for i in range(n):
+                pub.publish_blocking(img(5, i))
+            join_all(drains)
+            assert got == {"d1": list(range(n)), "d2": list(range(n))}
+            fused = inst.subscriber("b", "T").last_times
+            assert (fused.publisher, fused.seq) == ("a", n - 1)
+            rows = [e for e in inst.trace.events() if e.topic == "T"]
+            assert sorted(e.seq for e in rows) == sorted(2 * list(range(n)))
+            assert all(
+                e.t_first_sent <= e.t_last_sent <= e.t_first_recv <= e.t_last_recv
+                for e in rows
+            )
+            assert not inst.faults
+
+    def test_fused_ports_refuse_channel_operations(self, registry):
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL,
+                   "a": relay("a", "in", "T"), "b": relay("b", "T", "out")}
+        inst = build(CHAIN_CFG, registry, kernels)
+        assert inst.contexts() == {"node:a": ["a", "b"]}
+        sub, pub = inst.subscriber("b", "T"), inst.publisher("a", "T")
+        for take in (sub.take_blocking, sub.take_try, sub.read_chunk):
+            with pytest.raises(ValueError, match="node 'b' runs inside context 'node:a'"):
+                take()
+        with pytest.raises(ValueError, match="feeds 'b' by call.*publish_blocking"):
+            pub.publish_try(img(1))
+        with pytest.raises(ValueError, match="feeds 'b' by call.*publish_blocking"):
+            pub.write_chunk(bytes(16), last=True)
+        inst.shutdown()
+
+    def test_fused_fault_recorded_under_its_own_name(self, registry):
+        def bad(inputs):
+            raise RuntimeError("fused kernel exploded")
+
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL,
+                   "a": relay("a", "in", "T"), "b": NodeKernel("b", SEQUENTIAL, bad)}
+        inst = build(CHAIN_CFG, registry, kernels, default_capacity_words=8)
+        before = set(threading.enumerate())
+        with inst:
+            started = set(threading.enumerate()) - before
+            with watchdog(inst):
+                inst.publisher("src", "in").publish_blocking(img(1))
+                join_all(started, 5)  # the host thread unwinds on its own
+            assert [(f.node, str(f.error)) for f in inst.faults] == [
+                ("b", "fused kernel exploded")
+            ]
+            assert inst.closed
+
+    def test_stop_kernel_in_fused_node_parks_its_publisher(self, registry):
+        cfg = CHAIN_CFG.replace(" sub in demo/Img\n", " sub in demo/Img fifo=1\n")
+
+        def two_then_stop(inputs):
+            if inputs["T"]["data"][1] == 2:
+                raise StopKernel()
+            return {"out": inputs["T"]}
+
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL,
+                   "a": relay("a", "in", "T"), "b": NodeKernel("b", SEQUENTIAL, two_then_stop)}
+        inst = build(cfg, registry, kernels)
+        assert inst.contexts() == {"node:a": ["a", "b"]}
+        before = set(threading.enumerate())
+        inst.start()
+        started = set(threading.enumerate()) - before
+        with watchdog(inst):
+            src, dst = inst.publisher("src", "in"), inst.subscriber("dst", "out")
+            for i in range(5):
+                # frame 2 stops b; a takes frame 3 and parks handing it to b,
+                # so frame 4 waits in a's FIFO and nothing more fits
+                src.publish_blocking(img(1, i))
+            assert [dst.take_blocking()["data"][1] for _ in range(2)] == [0, 1]
+            time.sleep(0.1)
+            assert not src.publish_try(img(1, 5))
+            assert inst.subscriber("a", "in").channel.frames_buffered() == 1
+            assert inst.publisher("a", "T").last_times.seq == 3
+            assert dst.take_try() is None
+        t0 = time.monotonic()
+        inst.shutdown()
+        assert time.monotonic() - t0 < 1.0
+        assert not [t.name for t in started if t.is_alive()]
+        assert not inst.faults
 
 
 class TestInstantiate:
