@@ -7,7 +7,8 @@ the wire format; a threaded runtime executes the network with keep-all /
 reliable backpressure semantics, choosing its execution contexts from the
 graph's shape when it is built: a chain of sequential nodes runs in its
 first node's thread, each fused node called inside its publisher's
-publish, other kernel-driven nodes get a thread each, and arbiters and
+publish, unless that could make the thread wait on its own later writes;
+other kernel-driven nodes get a thread each, and arbiters and
 broadcasters run in the publishing thread; and a benchmark harness
 compares it against a double-copy baseline middleware emulation.
 """

@@ -41,12 +41,13 @@ writes any threaded subscribers' channels, then hands the frame to each
 fused subscriber by call, which reassembles, decodes, runs the node's body
 and its own publishes before the publish returns.  A full downstream
 channel therefore blocks the whole fused chain, as keep-all requires.
-Every other kernel-driven node gets one thread.  ``contexts()`` reports the
-result.  Because a context runs its nodes' publishes one after another, two
-paths out of one context that meet again at a node taking them in the
-other order can block over narrow links where separate threads would not;
-a ``fifo=`` depth on the fused subscription keeps that node in a thread of
-its own.
+A publish calls its fused subscribers shortest fused chain first.  Because
+a context makes its writes one after another, a node stays in a thread of
+its own where fusing it could make its context wait on itself: where paths
+leaving a context meet again at one node, all but one of that node's
+subscriptions on them need a ``fifo=`` depth, and the context must write
+the remaining one last (``_plan_contexts``).  Every other kernel-driven
+node gets one thread.  ``contexts()`` reports the result.
 """
 
 from __future__ import annotations
@@ -725,8 +726,7 @@ class PortHandle:
                 self._rx_active = False
                 self._rx_first_t = None
                 self._rx_len = 0
-                self._finish_frame(meta, first_t)
-                return deserialize(Frame(self._rx.view[:n]), self.plan)
+                return self._complete(n, meta, first_t)
 
     def _accept(self, segments, meta: FrameMeta) -> MessageValue:
         """Reassemble and decode a frame a fused publisher hands over by call."""
@@ -734,6 +734,10 @@ class PortHandle:
         n = 0
         for segment in segments:
             n = self._rx.write(n, segment)
+        return self._complete(n, meta, first_t)
+
+    def _complete(self, n: int, meta: FrameMeta, first_t: int) -> MessageValue:
+        """Stamp and decode the ``n`` reassembled bytes of a whole frame."""
         self._finish_frame(meta, first_t)
         return deserialize(Frame(self._rx.view[:n]), self.plan)
 
@@ -859,7 +863,10 @@ class RuntimeInstance:
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._started = False
-        self._shut = threading.Event()
+        self._closed = False
+        # held until shutdown; a stopped fused node parks its caller on it
+        self._parked = threading.Lock()
+        self._parked.acquire()
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -888,7 +895,7 @@ class RuntimeInstance:
 
     def start(self) -> "RuntimeInstance":
         with self._lock:
-            if self._started or self._shut.is_set():
+            if self._started or self._closed:
                 return self
             self._started = True
             for name, _, target in self._contexts:
@@ -911,9 +918,10 @@ class RuntimeInstance:
 
     def _abort(self) -> None:
         with self._lock:
-            if self._shut.is_set():
+            if self._closed:
                 return
-            self._shut.set()
+            self._closed = True
+        self._parked.release()
         for ch in self._channels:
             ch.close()
         for token in self._tokens:
@@ -921,7 +929,7 @@ class RuntimeInstance:
 
     @property
     def closed(self) -> bool:
-        return self._shut.is_set()
+        return self._closed
 
     def __enter__(self) -> "RuntimeInstance":
         return self.start()
@@ -966,8 +974,9 @@ class RuntimeInstance:
         def deliver(segments, meta: FrameMeta) -> None:
             nonlocal stopped
             if stopped:
-                self._shut.wait()
-            if self._shut.is_set():
+                with self._parked:  # until shutdown releases it
+                    pass
+            if self._closed:
                 raise ShutdownError(f"node {node}: the runtime is shut down")
             try:
                 _run_body(kernel, {topic: sub._accept(segments, meta)}, pubs)
@@ -1010,18 +1019,34 @@ def _fifo_capacity_words(
     return max(1, depth * words)
 
 
-def _fused_nodes(graph: TopologyGraph, kernels: dict[str, NodeKernel]) -> set[str]:
-    """The nodes that run inside their publisher's context.
+def _plan_contexts(graph: TopologyGraph, kernels: dict[str, NodeKernel]) -> dict[str, list[str]]:
+    """Each thread-owning node with the nodes its context runs, in call order.
 
-    A sequential node qualifies when its one subscription has no FIFO depth
-    and its topic's only publisher is another sequential node.  Following
-    publishers upward from it must reach a thread-owning root, never the
-    node itself: the members of a ring of such nodes each keep a thread.
+    A sequential node is fused into its publisher's context when its one
+    subscription has no FIFO depth and its topic's only publisher is another
+    sequential node, unless following publishers upward leads back to it:
+    the members of a ring of such nodes each keep a thread.  A publish calls
+    its fused subscribers shortest fused chain first.
+
+    A context writes its channels one after another, so it must not wait on
+    a node that first wants a later write of the same context.  Where paths
+    leaving a context meet again at one node, all but one of that node's
+    subscriptions on those paths need a FIFO depth, and the context must
+    write the paths to that one after all the others.  Fused nodes that
+    write onto the paths of a meeting that breaks this keep their own
+    threads, and the contexts are planned again.
     """
+    subscribers = {tp.topic: tp.subscribers for tp in graph.topics}
+    pub_topics: dict[str, list[str]] = {node.name: [] for node in graph.nodes}
+    for tp in graph.topics:
+        for ref in tp.publishers:
+            pub_topics[ref.node].append(tp.topic)
     parent: dict[str, str] = {}
     for node in graph.nodes:
+        if kernels[node.name].mode != SEQUENTIAL:
+            continue
         subs = [p for p in node.ports if p.direction == SUB]
-        if kernels[node.name].mode != SEQUENTIAL or len(subs) != 1:
+        if len(subs) != 1:
             continue
         publishers = graph.topic(subs[0].topic).publishers
         if subs[0].fifo_depth is not None or len(publishers) != 1:
@@ -1029,26 +1054,87 @@ def _fused_nodes(graph: TopologyGraph, kernels: dict[str, NodeKernel]) -> set[st
         pub = publishers[0].node
         if pub != node.name and kernels[pub].mode == SEQUENTIAL:
             parent[node.name] = pub
-    fused = set()
-    for node, pub in parent.items():
-        seen = set()
+    ring = set()
+    for node in parent:
+        pub, seen = parent[node], set()
         while pub in parent and pub != node and pub not in seen:
             seen.add(pub)
             pub = parent[pub]
-        if pub != node:
-            fused.add(node)
-    return fused
+        if pub == node:
+            ring.add(node)
+    for node in ring:
+        del parent[node]
+    while True:
+        size = dict.fromkeys(parent, 1)  # a fused node with the chain below it
+        for node in parent:
+            up = parent[node]
+            while up in parent:
+                size[up] += 1
+                up = parent[up]
+        children = {}  # (publisher, topic) -> fused subscribers in call order
+        for tp in graph.topics:
+            fused = [r.node for r in tp.subscribers if r.node in parent]
+            if fused:
+                children[(parent[fused[0]], tp.topic)] = sorted(fused, key=size.__getitem__)
+        plans, unfuse = {}, set()
+        for node in graph.nodes:
+            if kernels[node.name].mode == EXTERNAL_MODE or node.name in parent:
+                continue
+            plan, exits = [], []
+            _walk(node.name, children, pub_topics, subscribers, plan, exits)
+            plans[node.name] = plan
+            if len(plan) > 1:
+                unfuse |= _blocking_writers(set(plan), exits, subscribers, pub_topics)
+        unfuse &= parent.keys()
+        if not unfuse:
+            return plans
+        for node in unfuse:
+            del parent[node]
 
 
-# module level: a recursive closure would hold every port in a reference
-# cycle, so an instance's buffers would outlive it until the collector ran
-def _call_order(node: str, node_ports: dict[str, tuple[dict, dict]]) -> list[str]:
-    """``node``, then depth first the fused nodes its publishes call."""
-    order = [node]
-    for port in node_ports.get(node, ({}, {}))[1].values():
-        for sub in port.fused:
-            order += _call_order(sub.node, node_ports)
-    return order
+def _walk(node, children, pub_topics, subscribers, plan: list, exits: list) -> None:
+    """Append ``node`` and the fused nodes it calls to ``plan``, its writes to ``exits``."""
+    plan.append(node)
+    for topic in pub_topics[node]:
+        fused = children.get((node, topic), [])
+        exits.append((node, topic, [r for r in subscribers[topic] if r.node not in fused]))
+        for sub in fused:
+            _walk(sub, children, pub_topics, subscribers, plan, exits)
+
+
+def _blocking_writers(context: set, exits: list, subscribers: dict, pub_topics: dict) -> set:
+    """The context's nodes that write onto paths meeting against its write order.
+
+    ``exits`` lists the context's channel writes in call order, each as
+    (writing node, topic, subscriber refs).  Of the writes that reach a
+    subscription, a plain one counts at the earliest, a buffered one at
+    the latest.
+    """
+    reach: dict[tuple[str, str], tuple] = {}  # (node, topic) -> (ref, write positions)
+    for pos, (_, topic, refs) in enumerate(exits):
+        todo, seen = [(topic, refs)], set()
+        while todo:
+            topic, refs = todo.pop()
+            for ref in refs:
+                if ref.node in context:
+                    continue
+                reach.setdefault((ref.node, topic), (ref, set()))[1].add(pos)
+                if ref.node not in seen:
+                    seen.add(ref.node)
+                    todo += [(t, subscribers[t]) for t in pub_topics[ref.node]]
+    meetings: dict[str, list] = {}
+    for (node, _), entry in reach.items():
+        meetings.setdefault(node, []).append(entry)
+    writers = set()
+    for entries in meetings.values():
+        if len(entries) < 2:
+            continue
+        plain = [pos for ref, pos in entries if ref.fifo_depth is None]
+        buffered = [max(pos) for ref, pos in entries if ref.fifo_depth is not None]
+        if not plain or (len(plain) == 1 and min(plain[0]) > max(buffered)):
+            continue
+        writers |= {exits[p][0] for _, pos in entries for p in pos}
+    return writers
 
 
 def instantiate(
@@ -1079,7 +1165,9 @@ def instantiate(
         if kernel.mode != EXTERNAL_MODE and kernel.body is None:
             raise RuntimeBuildError(f"node {node.name!r}: kernel {kernel.kernel_id!r} has no body")
         node_kernels[node.name] = kernel
-    fused_nodes = _fused_nodes(graph, node_kernels)
+    plans = _plan_contexts(graph, node_kernels)
+    call_rank = {node: k for plan in plans.values() for k, node in enumerate(plan)}
+    fused_nodes = {node for plan in plans.values() for node in plan[1:]}
     node_ports: dict[str, tuple[dict, dict]] = {}
 
     def make_port(ref, direction, topic, plan, channels, token=None):
@@ -1108,6 +1196,7 @@ def instantiate(
             ch = inst._new_channel(words, f"{tp.topic}->{ref.node}")
             channels.append(ch)
             make_port(ref, SUB, tp.topic, plan, [ch])
+        fused.sort(key=lambda p: call_rank[p.node])
         if not tp.publishers:
             continue
         if not tp.subscribers:  # unread: reliable publishers block once it fills
@@ -1119,18 +1208,16 @@ def instantiate(
         for ref in tp.publishers:
             make_port(ref, PUB, tp.topic, plan, channels, token).fused = tuple(fused)
 
-    for node in graph.nodes:
-        kernel = node_kernels[node.name]
-        if kernel.mode == EXTERNAL_MODE or node.name in fused_nodes:
-            continue
-        name, order = f"node:{node.name}", _call_order(node.name, node_ports)
+    for root, order in plans.items():
+        name = f"node:{root}"
         for fused_node in order[1:]:
             subs, pubs = node_ports[fused_node]
             (sub,) = subs.values()
             sub.fused_into = name
             sub.deliver = inst._fused_delivery(fused_node, node_kernels[fused_node], sub, pubs)
-        ports = NodePorts(*node_ports.get(node.name, ({}, {})))
+        ports = NodePorts(*node_ports.get(root, ({}, {})))
+        kernel = node_kernels[root]
         inst._contexts.append(
-            (name, tuple(order), lambda n=node.name, k=kernel, p=ports: inst._node_loop(n, k, p))
+            (name, tuple(order), lambda n=root, k=kernel, p=ports: inst._node_loop(n, k, p))
         )
     return inst

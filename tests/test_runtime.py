@@ -850,8 +850,21 @@ CHAIN_CFG = (
 )
 
 
-def relay(node: str, t_in: str, t_out: str) -> NodeKernel:
-    return NodeKernel(node, SEQUENTIAL, lambda inputs: {t_out: inputs[t_in]})
+# a publishes T then Y; b, on T, publishes X; q takes Y before X.  Fusing b
+# into a would make a wait inside b's publish of X for q, which waits for Y.
+RECONVERGE_CFG = (
+    "node src\n pub in demo/Img\n"
+    "node a\n sub in demo/Img\n pub T demo/Img\n pub Y demo/Img\n"
+    "node b\n sub T demo/Img\n pub X demo/Img\n"
+    "node q\n sub Y demo/Img\n sub X demo/Img\n pub out demo/Img\n"
+    "node dst\n sub out demo/Img fifo=8\n"
+)
+RECONVERGE_MODES = {"src": EXTERNAL, "a": SEQUENTIAL, "b": SEQUENTIAL, "q": SEQUENTIAL,
+                    "dst": EXTERNAL}
+
+
+def relay(node: str, t_in: str, *t_out: str) -> NodeKernel:
+    return NodeKernel(node, SEQUENTIAL, lambda inputs: {t: inputs[t_in] for t in t_out})
 
 
 class TestExecutionContexts:
@@ -863,9 +876,10 @@ class TestExecutionContexts:
                    for n in graph.nodes}
         kernels["camera"] = kernels["actuator"] = EXTERNAL
         inst = instantiate(graph, kernels)
+        # the light detectors' one-node chains run before the three-node one
         assert inst.contexts() == {
             "node:compensate": [
-                "compensate", "blur", "project", "extract", "red_light", "green_light"
+                "compensate", "red_light", "green_light", "blur", "project", "extract"
             ],
             "node:steer": ["steer"],
         }
@@ -927,10 +941,39 @@ class TestExecutionContexts:
                 {"x": SEQUENTIAL, "y": SEQUENTIAL, "z": SEQUENTIAL},
                 {"node:x": ["x", "z"], "node:y": ["y"]},
             ),
+            (RECONVERGE_CFG, RECONVERGE_MODES, {"node:a": ["a"], "node:b": ["b"], "node:q": ["q"]}),
+            (
+                RECONVERGE_CFG,
+                dict(RECONVERGE_MODES, q=DATAFLOW),
+                {"node:a": ["a"], "node:b": ["b"], "node:q": ["q"]},
+            ),
+            (
+                # the path through b meets a buffered subscription, written first
+                RECONVERGE_CFG.replace(" sub X demo/Img\n", " sub X demo/Img fifo=1\n"),
+                RECONVERGE_MODES,
+                {"node:a": ["a", "b"], "node:q": ["q"]},
+            ),
+            (
+                # the buffered subscription is written last: a waits on q for X
+                RECONVERGE_CFG.replace(" sub Y demo/Img\n", " sub Y demo/Img fifo=1\n"),
+                RECONVERGE_MODES,
+                {"node:a": ["a"], "node:b": ["b"], "node:q": ["q"]},
+            ),
+            (
+                # the paths meet two hops past the context
+                RECONVERGE_CFG.replace("node q\n sub Y demo/Img\n sub X demo/Img\n", (
+                    "node r\n sub X demo/Img\n pub X2 demo/Img\n"
+                    "node q\n sub Y demo/Img\n sub X2 demo/Img\n"
+                )),
+                dict(RECONVERGE_MODES, r=SEQUENTIAL),
+                {"node:a": ["a"], "node:b": ["b"], "node:r": ["r"], "node:q": ["q"]},
+            ),
         ],
         ids=[
             "fused", "external-publisher", "dataflow-subscriber", "dataflow-publisher",
             "fifo", "two-subscriptions", "two-publishers", "ring", "ring-feeds-fused",
+            "reconverge", "reconverge-dataflow", "reconverge-fifo-first",
+            "reconverge-fifo-last", "reconverge-downstream",
         ],
     )
     def test_fusion_rules(self, registry, cfg, modes, contexts):
@@ -941,6 +984,65 @@ class TestExecutionContexts:
         inst = build(cfg, registry, kernels)
         assert inst.contexts() == contexts
         inst.shutdown()
+
+    def test_reconvergent_paths_deliver_over_one_word_links(self, registry):
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL, "a": relay("a", "in", "T", "Y"),
+                   "b": relay("b", "T", "X"),
+                   "q": NodeKernel("q", SEQUENTIAL, lambda inputs: {"out": inputs["X"]})}
+        inst = build(RECONVERGE_CFG, registry, kernels)
+        assert inst.config.default_capacity_words == 1
+        with inst, watchdog(inst, 5):
+            pub, sub = inst.publisher("src", "in"), inst.subscriber("dst", "out")
+            for i in range(3):
+                pub.publish_blocking(img(2, i))
+            assert [sub.take_blocking()["data"][1] for _ in range(3)] == [0, 1, 2]
+            assert not inst.faults
+
+    def test_light_event_arrives_before_center_of_its_frame(self):
+        graph = build_topology(
+            parse_config((VEHICLE / "nodes.cfg").read_text()), load_msg_tree(VEHICLE / "msgs")
+        )
+        n = 20
+        drained = []  # per steer iteration: (centre's frame, event stamps taken after it)
+
+        def steer(ports):
+            center = ports.sub("center").take_blocking()
+            stamps = []
+            for topic in ("stop_events", "go_events"):
+                while (event := ports.sub(topic).take_try()) is not None:
+                    stamps.append((topic, event["stamp"]))
+            drained.append((int(center["x"]), stamps))
+            ports.pub("command").publish_blocking({"speed": center["x"], "turn": 0.0})
+
+        kernels = {
+            "camera": EXTERNAL, "actuator": EXTERNAL,
+            "compensate": relay("compensate", "raw", "plane"),
+            "blur": relay("blur", "plane", "smooth"),
+            "project": relay("project", "smooth", "birdseye"),
+            "extract": NodeKernel("extract", SEQUENTIAL, lambda inputs: {
+                "center": {"x": float(inputs["birdseye"]["pixels"][0]), "y": 0.0}}),
+            "red_light": NodeKernel("red_light", SEQUENTIAL, lambda inputs: {
+                "stop_events": {"state": 0, "stamp": inputs["plane"]["pixels"][0]}}),
+            "green_light": NodeKernel("green_light", SEQUENTIAL, lambda inputs: {
+                "go_events": {"state": 1, "stamp": inputs["plane"]["pixels"][0]}}
+                if inputs["plane"]["pixels"][0] % 2 else {}),
+            "steer": NodeKernel("steer", DATAFLOW, steer),
+        }
+        inst = instantiate(graph, kernels, RuntimeConfig(default_capacity_words=4800))
+        with inst, watchdog(inst):
+            camera, actuator = inst.publisher("camera", "raw"), inst.subscriber("actuator", "command")
+            for k in range(n):
+                camera.publish_blocking({"pixels": bytes([k]) * 19200})
+            assert [actuator.take_blocking()["speed"] for _ in range(n)] == list(range(n))
+        # frame k's events were written before its centre, so steer drains
+        # them no later than the iteration that takes that centre
+        assert [k for k, _ in drained] == list(range(n))
+        taken_at = {event: k for k, stamps in drained for event in stamps}
+        assert sum(len(stamps) for _, stamps in drained) == len(taken_at)
+        assert taken_at.keys() == {("stop_events", k) for k in range(n)} | {
+            ("go_events", k) for k in range(1, n, 2)
+        }
+        assert all(k <= stamp for (_, stamp), k in taken_at.items())
 
     def test_mixed_broadcast_delivers_every_frame_in_order(self, registry):
         cfg = (
@@ -998,13 +1100,27 @@ class TestExecutionContexts:
             pub.write_chunk(bytes(16), last=True)
         inst.shutdown()
 
-    def test_fused_fault_recorded_under_its_own_name(self, registry):
+    @pytest.mark.parametrize("stages", [1, 3])
+    def test_fused_fault_recorded_under_its_own_name(self, registry, stages):
+        # src -> a -> T1 -> s1 -> T2 -> ... -> s<stages> -> out -> dst; the last stage faults
+        topics = [f"T{i}" for i in range(1, stages + 1)] + ["out"]
+        cfg = "node src\n pub in demo/Img\nnode a\n sub in demo/Img\n pub T1 demo/Img\n"
+        cfg += "".join(
+            f"node s{i}\n sub {topics[i - 1]} demo/Img\n pub {topics[i]} demo/Img\n"
+            for i in range(1, stages + 1)
+        )
+        cfg += "node dst\n sub out demo/Img fifo=8\n"
+
         def bad(inputs):
             raise RuntimeError("fused kernel exploded")
 
-        kernels = {"src": EXTERNAL, "dst": EXTERNAL,
-                   "a": relay("a", "in", "T"), "b": NodeKernel("b", SEQUENTIAL, bad)}
-        inst = build(CHAIN_CFG, registry, kernels, default_capacity_words=8)
+        last = f"s{stages}"
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL, "a": relay("a", "in", "T1"),
+                   last: NodeKernel(last, SEQUENTIAL, bad)}
+        for i in range(1, stages):
+            kernels[f"s{i}"] = relay(f"s{i}", topics[i - 1], topics[i])
+        inst = build(cfg, registry, kernels, default_capacity_words=8)
+        assert inst.contexts() == {"node:a": ["a"] + [f"s{i}" for i in range(1, stages + 1)]}
         before = set(threading.enumerate())
         with inst:
             started = set(threading.enumerate()) - before
@@ -1012,7 +1128,7 @@ class TestExecutionContexts:
                 inst.publisher("src", "in").publish_blocking(img(1))
                 join_all(started, 5)  # the host thread unwinds on its own
             assert [(f.node, str(f.error)) for f in inst.faults] == [
-                ("b", "fused kernel exploded")
+                (last, "fused kernel exploded")
             ]
             assert inst.closed
 
@@ -1043,6 +1159,47 @@ class TestExecutionContexts:
             assert inst.subscriber("a", "in").channel.frames_buffered() == 1
             assert inst.publisher("a", "T").last_times.seq == 3
             assert dst.take_try() is None
+        t0 = time.monotonic()
+        inst.shutdown()
+        assert time.monotonic() - t0 < 1.0
+        assert not [t.name for t in started if t.is_alive()]
+        assert not inst.faults
+
+
+    def test_stop_kernel_in_one_fused_sibling_parks_the_others(self, registry):
+        cfg = (
+            "node src\n pub in demo/Img\n"
+            "node a\n sub in demo/Img fifo=1\n pub T demo/Img\n"
+            "node b\n sub T demo/Img\n pub outb demo/Img\n"
+            "node c\n sub T demo/Img\n pub outc demo/Img\n"
+            "node db\n sub outb demo/Img fifo=8\nnode dc\n sub outc demo/Img fifo=8\n"
+        )
+
+        def two_then_stop(inputs):
+            if inputs["T"]["data"][1] == 2:
+                raise StopKernel()
+            return {"outb": inputs["T"]}
+
+        kernels = {"src": EXTERNAL, "db": EXTERNAL, "dc": EXTERNAL, "a": relay("a", "in", "T"),
+                   "b": NodeKernel("b", SEQUENTIAL, two_then_stop), "c": relay("c", "T", "outc")}
+        inst = build(cfg, registry, kernels)
+        assert inst.contexts() == {"node:a": ["a", "b", "c"]}
+        before = set(threading.enumerate())
+        inst.start()
+        started = set(threading.enumerate()) - before
+        with watchdog(inst):
+            src = inst.publisher("src", "in")
+            for i in range(5):
+                # c still takes frame 2, which stopped b; a parks handing
+                # frame 3 to b, before c, and frame 4 waits in a's FIFO
+                src.publish_blocking(img(1, i))
+            db, dc = inst.subscriber("db", "outb"), inst.subscriber("dc", "outc")
+            assert [db.take_blocking()["data"][1] for _ in range(2)] == [0, 1]
+            assert [dc.take_blocking()["data"][1] for _ in range(3)] == [0, 1, 2]
+            time.sleep(0.1)
+            assert db.take_try() is None and dc.take_try() is None
+            assert not src.publish_try(img(1, 5))
+            assert inst.publisher("a", "T").last_times.seq == 3
         t0 = time.monotonic()
         inst.shutdown()
         assert time.monotonic() - t0 < 1.0
