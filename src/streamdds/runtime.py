@@ -18,9 +18,17 @@ A published frame is streamed as the segments the codec emits, so a
 reaches the subscriber channels as a view of the caller's object, never
 copied on the publishing side; ``bytearray`` and ``memoryview`` payloads
 are copied by the codec, because a publish returns once the channels
-accept the words, before the subscriber reads them.  The subscriber copies
-each chunk into its reassembly buffer and the codec copies byte arrays out
-of it.
+accept the words, before the subscriber reads them.  On the receiving side
+each word is copied once into the subscriber's reassembly buffer, and the
+codec copies byte arrays out of it.  Who makes that copy depends on timing:
+a subscriber that finds its channel holding something reads the chunks and
+copies them itself, but a ``take_blocking`` that finds it empty parks its
+port on the channel, and the writer then copies the words straight into
+that port's buffer under the channel lock, whole segments at a time and
+past the channel's capacity, until the frame's marker.  The reader then
+wakes once for the frame, and stamps, traces and decodes it in its own
+thread.  At most one frame per park bypasses the channel; after it, the
+channel's capacity and backpressure apply as before.
 
 Delivery follows keep-all/reliable semantics throughout: a full buffer
 blocks the writer and nothing is dropped.  Blocking operations park on a
@@ -153,7 +161,14 @@ class FrameMeta:
 
 @dataclass(frozen=True, slots=True)
 class FrameTimes:
-    """Per-frame endpoint timestamps (nanoseconds, monotonic clock)."""
+    """Per-frame endpoint timestamps (nanoseconds, monotonic clock).
+
+    ``t_first_sent`` and ``t_last_sent`` are when a channel accepted the
+    frame's first and last words.  ``t_first_recv`` and ``t_last_recv`` are
+    when the first and last words landed in the subscriber's reassembly
+    buffer, whichever thread copied them.  For a frame a writer delivered
+    straight to a parked reader, the reader wakes after ``t_last_recv``.
+    """
 
     topic: str
     publisher: str
@@ -174,11 +189,19 @@ class StreamChannel:
     no capacity, so zero-word (empty-message) frames always fit.  ``close``
     makes every subsequent operation raise ShutdownError and discards any
     buffered words.
+
+    A reader that finds the channel empty may ``park`` its port as the
+    ``receiver``.  While one is parked, ``write_some`` enqueues nothing: it
+    copies the words straight into the receiver's reassembly buffer, with no
+    capacity limit, and at the end-of-message marker it hands the receiver
+    the completed frame, unparks it and sets its waker.  ``unpark`` collects
+    that frame, if any.
     """
 
     __slots__ = (
         "capacity_words",
         "name",
+        "receiver",
         "_lock",
         "_chunks",
         "_words",
@@ -194,6 +217,7 @@ class StreamChannel:
             raise ValueError("channel capacity must be at least one word")
         self.capacity_words = capacity_words
         self.name = name
+        self.receiver: PortHandle | None = None
         self._lock = threading.Lock()
         self._chunks: deque = deque()  # (data, last: bool, meta: FrameMeta|None)
         self._words = 0
@@ -219,13 +243,18 @@ class StreamChannel:
         the final word is accepted.  Send timestamps are stamped into
         ``meta`` under the channel lock, once, so forwarded frames keep the
         original publisher's times.  Returns 0 without side effects when
-        full (except that a zero-word marker is always accepted).
+        full (except that a zero-word marker is always accepted).  With a
+        receiver parked, all of ``data`` goes straight to it instead.
         """
         nbytes = len(data)
         with self._lock:
             if self._closed:
                 raise ShutdownError(f"channel {self.name} is closed")
-            take = min(self.capacity_words - self._words, nbytes // 4)
+            receiver = self.receiver
+            if receiver is None:
+                take = min(self.capacity_words - self._words, nbytes // 4)
+            else:
+                take = nbytes // 4
             final = last and take * 4 == nbytes
             if take == 0 and not final:
                 return 0
@@ -234,6 +263,13 @@ class StreamChannel:
                     meta.t_first_sent = self._clock()
                 if final and meta.t_last_sent is None:
                     meta.t_last_sent = self._clock()
+            if receiver is not None:
+                done = receiver._absorb(data, final, meta)
+                if final:
+                    receiver._rx_done = done
+                    self.receiver = None
+                    receiver.waker.set()
+                return take
             piece = data if take * 4 == nbytes else data[: take * 4]
             self._chunks.append((piece, final, meta if final else None))
             self._words += take
@@ -247,7 +283,8 @@ class StreamChannel:
         """All-or-nothing enqueue of one whole frame, given as its segments.
 
         Each segment must be a whole number of words; the marker (and
-        ``meta``) attach to the last.
+        ``meta``) attach to the last.  A parked receiver is unparked, to
+        read the frame from the channel.
         """
         need = sum(map(len, segments)) // 4
         with self._lock:
@@ -267,6 +304,7 @@ class StreamChannel:
             self._chunks.append((tail, True, meta))
             self._words += need
             self._frames += 1
+            self.receiver = None
             if self.reader_waker is not None:
                 self.reader_waker.set()
             return True
@@ -288,6 +326,8 @@ class StreamChannel:
         even when ``max_words`` is 0.  Splitting a chunk keeps the marker on
         its final piece.
         """
+        if max_words is not None and max_words < 0:
+            raise ValueError(f"max_words must not be negative, got {max_words}")
         with self._lock:
             if self._closed:
                 raise ShutdownError(f"channel {self.name} is closed")
@@ -311,6 +351,27 @@ class StreamChannel:
             if self.writer_waker is not None:
                 self.writer_waker.set()
             return (data, last, meta)
+
+    def park(self, port: "PortHandle") -> bool:
+        """Make ``port`` the receiver if the channel is empty; False if not."""
+        with self._lock:
+            if self._closed:
+                raise ShutdownError(f"channel {self.name} is closed")
+            if self._chunks:
+                return False
+            self.receiver = port
+            return True
+
+    def unpark(self, port: "PortHandle"):
+        """Stop delivering to ``port``; return the frame completed meanwhile, or None.
+
+        The frame is (length, meta, t_first_recv, t_last_recv), its bytes in
+        the port's reassembly buffer.
+        """
+        with self._lock:
+            self.receiver = None
+            done, port._rx_done = port._rx_done, None
+            return done
 
     def close(self) -> None:
         with self._lock:
@@ -378,7 +439,13 @@ class FrameToken:
 
 
 class TraceLog:
-    """Thread-safe collector of per-frame delivery events."""
+    """Thread-safe collector of per-frame delivery events.
+
+    One record per frame a subscriber port completes, made in the
+    subscriber's thread.  The receive times are when the words landed in the
+    port's reassembly buffer (see ``FrameTimes``), so for a frame delivered
+    straight to a parked reader the record is made after ``t_last_recv``.
+    """
 
     CSV_HEADER = (
         "topic,publisher,frame_seq,t_first_sent,t_last_sent,t_first_recv,t_last_recv"
@@ -420,6 +487,14 @@ class PortHandle:
     read_chunk) expose the word stream for dataflow kernels.  Do not mix the
     two levels within one frame.  ``last_times`` holds the timestamps of the
     most recently completed frame on this port.
+
+    A ``take_blocking`` that finds its channel empty parks the port as the
+    channel's receiver and waits.  The writer then copies the words into
+    this port's reassembly buffer itself and wakes the port once, when the
+    frame is complete; the port stamps, traces and decodes it in its own
+    thread.  A wake-up before then unparks the port, and the rest of the
+    frame arrives through the channel or in a later park.  ``take_try`` and
+    ``read_chunk`` never park.
 
     Publishing hands ``bytes`` to the channels by reference (a ``uint8``
     array value from ``serde.VIEW_MIN_BYTES``, or a word-aligned
@@ -472,11 +547,12 @@ class PortHandle:
                 ch.writer_waker = self.waker
         self._seq = 0
         self.last_times: FrameTimes | None = None
-        # subscriber frame-reassembly state (persistent warm buffer + fill)
+        # subscriber frame-reassembly state (persistent warm buffer + fill);
+        # a writer updates it under the channel lock while the port is parked
         self._rx = GrowBuffer()
         self._rx_len = 0
-        self._rx_active = False
         self._rx_first_t: int | None = None
+        self._rx_done: tuple | None = None  # a frame completed while parked
         # publisher chunk-stream state
         self._tx_meta: FrameMeta | None = None
         self._tx_tail = b""
@@ -688,8 +764,7 @@ class PortHandle:
                 return res
             self.waker.wait()
 
-    def _finish_frame(self, meta: FrameMeta | None, t_first: int | None) -> None:
-        t_last = self._clock()
+    def _finish_frame(self, meta: FrameMeta | None, t_first: int, t_last: int) -> None:
         if meta is not None:
             times = FrameTimes(
                 meta.topic,
@@ -706,27 +781,39 @@ class PortHandle:
         if self._trace is not None:
             self._trace.record(times)
 
+    def _absorb(self, data, last: bool, meta: FrameMeta | None):
+        """Append a chunk to the reassembly buffer.
+
+        At the frame's marker, returns (length, meta, t_first_recv,
+        t_last_recv) and resets for the next frame; otherwise None.
+        """
+        if self._rx_first_t is None:
+            self._rx_first_t = self._clock()
+        self._rx_len = self._rx.write(self._rx_len, data)
+        if not last:
+            return None
+        done = (self._rx_len, meta, self._rx_first_t, self._clock())
+        self._rx_len = 0
+        self._rx_first_t = None
+        return done
+
     def _take(self, blocking: bool) -> MessageValue | None:
+        channel = self.channel
         while True:
-            if blocking:
-                res = self._read_some_blocking()
-            else:
-                res = self.channel.read_some()
-                if res is None:
+            res = channel.read_some()
+            if res is None:
+                if not blocking:
                     return None
-            data, last, meta = res
-            if not self._rx_active:
-                self._rx_active = True
-                self._rx_first_t = self._clock()
-            # the receive-side data movement
-            self._rx_len = self._rx.write(self._rx_len, data)
-            if last:
-                first_t = self._rx_first_t
-                n = self._rx_len
-                self._rx_active = False
-                self._rx_first_t = None
-                self._rx_len = 0
-                return self._complete(n, meta, first_t)
+                self.waker.clear()
+                if channel.park(self):
+                    self.waker.wait()
+                    done = channel.unpark(self)
+                    if done is not None:
+                        return self._complete(*done)
+                continue
+            done = self._absorb(*res)
+            if done is not None:
+                return self._complete(*done)
 
     def _accept(self, segments, meta: FrameMeta) -> MessageValue:
         """Reassemble and decode a frame a fused publisher hands over by call."""
@@ -734,11 +821,11 @@ class PortHandle:
         n = 0
         for segment in segments:
             n = self._rx.write(n, segment)
-        return self._complete(n, meta, first_t)
+        return self._complete(n, meta, first_t, self._clock())
 
-    def _complete(self, n: int, meta: FrameMeta, first_t: int) -> MessageValue:
+    def _complete(self, n: int, meta: FrameMeta, first_t: int, last_t: int) -> MessageValue:
         """Stamp and decode the ``n`` reassembled bytes of a whole frame."""
-        self._finish_frame(meta, first_t)
+        self._finish_frame(meta, first_t, last_t)
         return deserialize(Frame(self._rx.view[:n]), self.plan)
 
     def take_blocking(self) -> MessageValue:
@@ -756,15 +843,20 @@ class PortHandle:
         return self._take(blocking=False)
 
     def read_chunk(self, max_words: int | None = None) -> tuple[bytes, bool]:
-        """Blocking chunk-level read of the current frame for dataflow bodies."""
+        """Blocking chunk-level read of the current frame for dataflow bodies.
+
+        Returns at most ``max_words`` words, which must be at least 1.
+        """
         self._require(SUB)
+        if max_words is not None and max_words < 1:
+            raise ValueError(f"max_words must be at least 1, got {max_words}")
         data, last, meta = self._read_some_blocking(max_words)
         if self._rx_first_t is None:
             self._rx_first_t = self._clock()
         if last:
             first_t = self._rx_first_t
             self._rx_first_t = None
-            self._finish_frame(meta, first_t)
+            self._finish_frame(meta, first_t, self._clock())
         return (bytes(data), last)
 
 

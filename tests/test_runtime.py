@@ -15,6 +15,7 @@ from streamdds.runtime import (
     DATAFLOW,
     EXTERNAL,
     SEQUENTIAL,
+    FrameMeta,
     GrowBuffer,
     NodeKernel,
     RuntimeBuildError,
@@ -118,6 +119,16 @@ class TestStreamChannel:
     def test_capacity_validated(self):
         with pytest.raises(ValueError):
             StreamChannel(0)
+
+    def test_negative_max_words_rejected(self):
+        ch = StreamChannel(8)
+        ch.write_some(memoryview(bytes(16)), True)
+        with pytest.raises(ValueError):
+            ch.read_some(-1)
+        assert ch.buffered_words() == 4
+        assert ch.read_some(0) is None  # a zero-word read only takes a bare marker
+        data, last, _ = ch.read_some()
+        assert (len(data), last, ch.buffered_words()) == (16, True, 0)
 
 
 class TestGrowBuffer:
@@ -246,6 +257,22 @@ class TestPortsDirect:
             assert sub.take_try() is None
             pub.write_chunk(bytes(8), last=True)
             assert sub.take_try() == {"data": bytes(16)}
+
+    def test_read_chunk_rejects_max_words_below_one(self, registry):
+        inst = build(
+            "node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=2\n",
+            registry,
+            {"a": EXTERNAL, "b": EXTERNAL},
+        )
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            pub.publish_blocking(img(3))
+            for bad in (0, -1):
+                with pytest.raises(ValueError):
+                    sub.read_chunk(max_words=bad)
+            assert sub.channel.buffered_words() == 4
+            data, last = sub.read_chunk(max_words=4)
+            assert (data, last) == (img(3)["data"], True)
 
     def test_direction_enforced(self, registry):
         inst = build(
@@ -501,11 +528,221 @@ class TestBackpressure:
             assert got == list(range(n))
 
 
+def wait_parked(sub, seconds: float = DEADLINE_S) -> None:
+    """Return once ``sub`` is parked on its channel as the receiver."""
+    deadline = time.monotonic() + seconds
+    while sub.channel.receiver is not sub:
+        assert time.monotonic() < deadline, f"{sub.node} never parked"
+        time.sleep(0.0002)
+
+
+class CountingWaker(Waker):
+    """A Waker that counts the waits that return."""
+
+    def __init__(self):
+        super().__init__()
+        self.wakes = 0
+
+    def wait(self) -> None:
+        super().wait()
+        self.wakes += 1
+
+
+def count_wakes(sub) -> CountingWaker:
+    sub.waker = sub.channel.reader_waker = CountingWaker()
+    return sub.waker
+
+
+class TestDirectDelivery:
+    """A writer copies a frame straight into a reader parked in take_blocking."""
+
+    BLOB = "node a\n pub T demo/Blob\nnode b\n sub T demo/Blob\n"
+
+    def test_frames_many_times_capacity_arrive_whole_with_one_wake_each(self, registry):
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=4)
+        rng = random.Random(11)
+        payloads = [rng.randbytes(rng.randrange(100, 5000)) for _ in range(20)]
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            waker = count_wakes(sub)
+            got, peak = [], []
+            reader = threading.Thread(
+                target=lambda: got.extend(sub.take_blocking()["data"] for _ in payloads)
+            )
+            reader.start()
+            for p in payloads:
+                wait_parked(sub)
+                pub.publish_blocking({"data": p})
+                peak.append(sub.channel.buffered_words())
+            join_all([reader])
+        assert got == payloads
+        assert waker.wakes == len(payloads)
+        assert max(peak) == 0  # nothing was queued in the 4-word channel
+
+    def test_receive_times_are_when_the_words_land(self, registry):
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16, trace=True)
+        clock = inst.config.clock
+        n = 10
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+
+            published = []
+
+            def send():
+                for k in range(n):
+                    wait_parked(sub)
+                    pub.publish_blocking({"data": bytes([k]) * 4000})
+                    published.append(clock())
+
+            sender = threading.Thread(target=send)
+            sender.start()
+            rows = []
+            for k in range(n):
+                value = sub.take_blocking()
+                returned = clock()
+                assert value["data"][0] == k
+                rows.append((sub.last_times, returned))
+            join_all([sender])
+        assert [times for times, _ in rows] == inst.trace.events()
+        for (times, returned), publish_returned in zip(rows, published):
+            assert times.t_first_sent <= times.t_first_recv <= times.t_last_recv
+            # the writer moved the last word before its publish returned
+            assert times.t_last_sent <= times.t_last_recv < publish_returned
+            assert times.t_last_recv < returned
+
+    def test_publish_try_to_a_parked_reader_keeps_order(self, registry):
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            got = []
+            reader = threading.Thread(
+                target=lambda: got.extend(sub.take_blocking()["data"] for _ in range(2))
+            )
+            reader.start()
+            wait_parked(sub)
+            assert pub.publish_try({"data": b"fits"})  # queued: the reader is unparked
+            pub.publish_blocking({"data": bytes(400)})
+            join_all([reader])
+        assert got == [b"fits", bytes(400)]
+
+    def test_spurious_wake_mid_frame_finishes_through_the_channel(self, registry):
+        # The race is staged: a wake-up reaches the parked reader after the
+        # first words landed directly, and the writer sends the rest while
+        # the reader is unparked, so they must come through the channel.
+        staged = []
+
+        class StagedChannel(StreamChannel):
+            def unpark(self, port):
+                done = super().unpark(port)
+                if done is None and not staged:
+                    staged.append(self.write_some(rest, True, meta))
+                    staged.append(self.buffered_words())
+                return done
+
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL})
+        sub = inst.subscriber("b", "T")
+        payload = random.Random(3).randbytes(999)
+        frame = bytes(serialize({"data": payload}, sub.plan).payload)
+        head, rest = frame[:64], frame[64:]
+        meta = FrameMeta("T", "a", 0)
+        ch = StagedChannel(len(frame), "T->b")
+        sub.channel, sub.channels, ch.reader_waker = ch, (ch,), sub.waker
+        inst._channels = [ch]
+        with inst, watchdog(inst):
+            out = []
+            reader = threading.Thread(target=lambda: out.append(sub.take_blocking()))
+            reader.start()
+            wait_parked(sub)
+            assert ch.write_some(head, False, meta) == len(head) // 4
+            assert ch.buffered_words() == 0  # the head landed directly
+            sub.waker.set()  # the spurious wake
+            join_all([reader])
+        assert staged == [len(rest) // 4, len(rest) // 4]
+        assert out == [{"data": payload}]
+        times = sub.last_times
+        assert (times.seq, times.t_first_sent) == (0, meta.t_first_sent)
+        assert times.t_first_sent <= times.t_first_recv <= times.t_last_recv
+
+    def test_shutdown_mid_delivery_never_surfaces_the_partial_frame(self, registry):
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=4)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            out, errors = [], []
+
+            def take():
+                try:
+                    out.append(sub.take_blocking())
+                except ShutdownError as e:
+                    errors.append(e)
+
+            reader = threading.Thread(target=take)
+            reader.start()
+            wait_parked(sub)
+            frame = bytes(serialize({"data": bytes(1000)}, pub.plan).payload)
+            pub.write_chunk(frame[:500])  # 125 words land in the parked reader
+            assert sub.channel.buffered_words() == 0 and reader.is_alive()
+            inst.shutdown()
+            join_all([reader])
+        assert (out, len(errors), sub.last_times) == ([], 1, None)
+        with pytest.raises(ShutdownError):
+            pub.write_chunk(frame[500:], last=True)
+        with pytest.raises(ShutdownError):
+            sub.take_try()
+
+    def test_broadcast_to_a_parked_and_a_busy_subscriber(self, registry):
+        cfg = self.BLOB + "node c\n sub T demo/Blob\n"
+        inst = build(cfg, registry, {n: EXTERNAL for n in ("a", "b", "c")},
+                     default_capacity_words=8)
+        rng = random.Random(9)
+        payloads = [rng.randbytes(rng.randrange(0, 300)) for _ in range(40)]
+        with inst, watchdog(inst):
+            parked, busy = inst.subscriber("b", "T"), inst.subscriber("c", "T")
+            waker = count_wakes(parked)
+            got_parked, got_busy = [], []
+
+            def drain_busy():
+                while len(got_busy) < len(payloads):
+                    value = busy.take_try()
+                    if value is None:
+                        time.sleep(0.0005)  # busy elsewhere between polls
+                    else:
+                        got_busy.append(value["data"])
+
+            threads = [
+                threading.Thread(
+                    target=lambda: got_parked.extend(parked.take_blocking()["data"] for _ in payloads)
+                ),
+                threading.Thread(target=drain_busy),
+            ]
+            for t in threads:
+                t.start()
+            pub = inst.publisher("a", "T")
+            for p in payloads:
+                pub.publish_blocking({"data": p})
+            join_all(threads)
+        assert got_parked == got_busy == payloads
+        assert waker.wakes > 0
+
+
 class TestArbiter:
-    # at 4 words per link every frame above 12 payload bytes streams in chunks
-    @pytest.mark.parametrize("capacity", [64, 4], ids=["64w", "4w"])
+    # frames are 2-11 words: at 64 words per link every frame fits, at 8 some
+    # do and some stream in chunks, at 4 most stream in chunks
+    @pytest.mark.parametrize("capacity", [64, 8, 4], ids=["64w", "8w", "4w"])
     @pytest.mark.parametrize("n_subs", [1, 3], ids=["1sub", "3sub"])
-    def test_integrity_and_multiset(self, registry, n_subs, capacity):
+    def test_integrity_and_multiset(self, registry, n_subs, capacity, monkeypatch):
+        direct = []  # per wake-up of a parked reader: did a writer complete its frame?
+        unpark = StreamChannel.unpark
+
+        def counted(ch, port):
+            done = unpark(ch, port)
+            direct.append(done is not None)
+            return done
+
+        monkeypatch.setattr(StreamChannel, "unpark", counted)
         sinks = [f"c{k}" for k in range(n_subs)]
         cfg = (
             "node p1\n pub T demo/Blob\nnode p2\n pub T demo/Blob\n"
@@ -559,6 +796,7 @@ class TestArbiter:
             for i in range(3):
                 stream_i = [g for g in first if g[0] == i]
                 assert stream_i == payloads[i]
+            assert any(direct)  # some frames went straight to a parked reader
 
     def test_single_active_input_passthrough(self, registry):
         cfg = "node p1\n pub T demo/Img\nnode p2\n pub T demo/Img\nnode c\n sub T demo/Img\n"
