@@ -7,8 +7,10 @@ desk scale:
   sizes.  Per message, the transport duration runs from the first word
   entering the network to the last word received (codec excluded); the
   codec-inclusive duration is reported alongside in the row extras.
-* ``bench_fanout``: one publisher, k draining subscribers; duration ends at
-  the last subscriber's receipt.  A software broadcaster pays a per-
+* ``bench_fanout``: one publisher, k draining subscribers; duration ends
+  when the last subscriber's take has returned the decoded message, read on
+  the subscriber's own thread for both subjects, so each side pays its
+  reader's wake-up and decode.  A software broadcaster pays a per-
   subscriber copy, so only bounded growth is expected of the streaming
   subject, while the baseline grows with per-reader stack work.
 * ``bench_chain``: the five-stage lane pipeline; duration runs from the
@@ -348,9 +350,12 @@ def _fanout_spec(k: int, msg_type: str) -> AppSpec:
 def _drained_fanout(reps: int, k: int, publish_one, drain_one) -> list[int]:
     """Shared fan-out loop: k draining consumer threads, barrier per rep.
 
-    ``publish_one(i) -> t_first_sent``; ``drain_one(idx, i) -> t_last_recv``.
-    The per-message duration runs from the transport start to the last
-    subscriber's receipt.
+    ``publish_one(i) -> t_first_sent``; ``drain_one(idx, i)`` returns the
+    clock read once its take returned.  The per-message duration runs from
+    the transport start to the last subscriber's return.  A streaming
+    subscriber's ``t_last_recv`` would not do: when it waits parked in
+    ``take_blocking``, the publishing thread stamps it before the subscriber
+    wakes, while a baseline reader stamps its own after waking.
     """
     recv_last = [[0] * reps for _ in range(k)]
     barrier = threading.Barrier(k + 1)
@@ -394,6 +399,7 @@ def _stream_fanout(k: int, size: int, reps: int, seed: int) -> list[int]:
     data = _blob_payload(size, seed)
     kernels = {"src": EXTERNAL, **{f"dst{i}": EXTERNAL for i in range(k)}}
 
+    clock = config.clock
     inst = instantiate(graph, kernels, config).start()
     try:
         pub = inst.publisher("src", "data")
@@ -405,7 +411,7 @@ def _stream_fanout(k: int, size: int, reps: int, seed: int) -> list[int]:
 
         def drain_one(idx: int, i: int) -> int:
             subs[idx].take_blocking()
-            return subs[idx].last_times.t_last_recv
+            return clock()
 
         return _drained_fanout(reps, k, publish_one, drain_one)
     finally:
@@ -427,9 +433,10 @@ def _baseline_fanout(k: int, size: int, reps: int, seed: int) -> list[int]:
 
     def drain_one(idx: int, i: int) -> int:
         v = readers[idx].take(block=True)
+        t_returned = topic.clock()
         if v["seq"] != i:
             raise AssertionError("baseline fanout lost a message")
-        return readers[idx].last_times.t_last_recv
+        return t_returned
 
     return _drained_fanout(reps, k, publish_one, drain_one)
 
@@ -437,7 +444,7 @@ def _baseline_fanout(k: int, size: int, reps: int, seed: int) -> list[int]:
 def bench_fanout(
     n_subs: list[int], size: int, reps: int, subject: str = BOTH, seed: int = 0
 ) -> BenchReport:
-    """Publish-to-last-receipt time as the subscriber count grows."""
+    """Publish-to-last-take time as the subscriber count grows."""
     if any(k < 1 for k in n_subs):
         raise ValueError("subscriber counts must be >= 1")
     subjects = _subjects(subject)

@@ -552,7 +552,7 @@ class PortHandle:
         self._rx = GrowBuffer()
         self._rx_len = 0
         self._rx_first_t: int | None = None
-        self._rx_done: tuple | None = None  # a frame completed while parked
+        self._rx_done: tuple | None = None  # a frame completed while parked, not yet taken
         # publisher chunk-stream state
         self._tx_meta: FrameMeta | None = None
         self._tx_tail = b""
@@ -799,6 +799,10 @@ class PortHandle:
 
     def _take(self, blocking: bool) -> MessageValue | None:
         channel = self.channel
+        done = self._rx_done
+        if done is not None:  # finished while an interrupted wait unwound
+            self._rx_done = None
+            return self._complete(*done)
         while True:
             res = channel.read_some()
             if res is None:
@@ -806,7 +810,13 @@ class PortHandle:
                     return None
                 self.waker.clear()
                 if channel.park(self):
-                    self.waker.wait()
+                    try:
+                        self.waker.wait()
+                    except BaseException:
+                        # e.g. KeyboardInterrupt: stop direct delivery and
+                        # keep a frame it finished for the next take
+                        self._rx_done = channel.unpark(self)
+                        raise
                     done = channel.unpark(self)
                     if done is not None:
                         return self._complete(*done)

@@ -255,12 +255,9 @@ class TestBenchRuns:
         tr = bench_transfer([4096], reps=30, subject=STREAMING, seed=0)
         f = rep.rows[0].measurements[STREAMING].t_avg_ns
         t = tr.rows[0].measurements[STREAMING].t_avg_ns
-        # fanout drains from a separate thread, parked in take_blocking, so
-        # the publish itself copies the frame into the drain's buffer and the
-        # last word lands before the publish returns; transfer takes in the
-        # publishing thread once the publish returned.  Fanout may be far
-        # quicker, and a drain that was not yet parked adds one scheduler wake
-        assert 0 < f < t + 1_000_000
+        # fanout drains from a separate thread, so its duration additionally
+        # carries one scheduler wake; same order of magnitude, never less
+        assert t * 0.5 < f < t + 1_000_000
 
     def test_chain_report_layout(self):
         rep = bench_chain(mode="sequential", subject="both", reps=40,

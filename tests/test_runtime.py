@@ -693,6 +693,42 @@ class TestDirectDelivery:
         with pytest.raises(ShutdownError):
             sub.take_try()
 
+    def test_interrupted_wait_unparks_and_keeps_a_finished_frame(self, registry):
+        # The interrupt is staged: the first wait raises at once, the second
+        # raises after a whole frame went straight into the parked reader.
+        class Interrupt(Exception):
+            pass
+
+        class InterruptingWaker(Waker):
+            def __init__(self):
+                super().__init__()
+                self.staged = [None, {"data": b"direct"}]
+
+            def wait(self):
+                if not self.staged:
+                    return super().wait()
+                value = self.staged.pop(0)
+                if value is not None:
+                    pub.publish_blocking(value)
+                raise Interrupt
+
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            sub.waker = sub.channel.reader_waker = InterruptingWaker()
+            with pytest.raises(Interrupt):
+                sub.take_blocking()
+            assert sub.channel.receiver is None
+            pub.publish_blocking({"data": b"queued"})  # through the channel
+            assert sub.take_blocking() == {"data": b"queued"}
+            with pytest.raises(Interrupt):
+                sub.take_blocking()
+            assert sub.channel.receiver is None
+            pub.publish_blocking({"data": b"next"})
+            assert sub.take_blocking() == {"data": b"direct"}
+            assert sub.take_blocking() == {"data": b"next"}
+
     def test_broadcast_to_a_parked_and_a_busy_subscriber(self, registry):
         cfg = self.BLOB + "node c\n sub T demo/Blob\n"
         inst = build(cfg, registry, {n: EXTERNAL for n in ("a", "b", "c")},
