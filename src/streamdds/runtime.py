@@ -18,17 +18,26 @@ A published frame is streamed as the segments the codec emits, so a
 reaches the subscriber channels as a view of the caller's object, never
 copied on the publishing side; ``bytearray`` and ``memoryview`` payloads
 are copied by the codec, because a publish returns once the channels
-accept the words, before the subscriber reads them.  On the receiving side
-each word is copied once into the subscriber's reassembly buffer, and the
-codec copies byte arrays out of it.  Who makes that copy depends on timing:
-a subscriber that finds its channel holding something reads the chunks and
-copies them itself, but a ``take_blocking`` that finds it empty parks its
-port on the channel, and the writer then copies the words straight into
-that port's buffer under the channel lock, whole segments at a time and
-past the channel's capacity, until the frame's marker.  The reader then
-wakes once for the frame, and stamps, traces and decodes it in its own
-thread.  At most one frame per park bypasses the channel; after it, the
-channel's capacity and backpressure apply as before.
+accept the words, before the subscriber reads them.  Every other segment
+is a new encoder buffer that nobody writes after the publish, so channels
+and subscribers hold segments by reference.
+
+A ``take_blocking`` that finds its channel empty parks its port on the
+channel.  The writer then hands the port each piece it writes, by
+reference, under the channel lock and past the channel's capacity, until
+the frame's marker; the reader wakes once for the frame, and stamps,
+traces and decodes it in its own thread with
+``serde.deserialize_segments``.  A fused subscriber gets a frame's
+segments the same way, by call.  So a ``bytes`` payload from
+``VIEW_MIN_BYTES`` reaches such a subscriber uncopied: the decoded value is
+the publisher's object, or that object joined with its unaligned edge
+bytes in one copy.  A frame read from the channel instead, by a subscriber
+that found it holding something, by ``take_try`` or by ``read_chunk``, is
+copied into the port's reassembly buffer and decoded from there, and the
+codec copies byte arrays out of it; so is the rest of a frame that started
+there before its port parked, or whose park ended before its marker.  At
+most one frame per park bypasses the channel; after it, the channel's
+capacity and backpressure apply as before.
 
 Delivery follows keep-all/reliable semantics throughout: a full buffer
 blocks the writer and nothing is dropped.  Blocking operations park on a
@@ -67,7 +76,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .msgdef import SerializationPlan
-from .serde import Frame, MessageValue, deserialize, serialize_segments
+from .serde import MessageValue, deserialize_segments, serialize_segments
 from .topology import PUB, SUB, TopologyGraph
 
 Clock = Callable[[], int]
@@ -136,8 +145,9 @@ class GrowBuffer:
             try:
                 self.view.release()
                 self.buf.extend(bytes(n - len(self.buf)))
-            except BufferError:  # a stale export pinned the buffer: start over
-                self.buf = bytearray(n)
+            except BufferError:  # a stale export pinned the buffer: move to a new one
+                old, self.buf = self.buf, bytearray(n)
+                self.buf[: len(old)] = old
             self.view = memoryview(self.buf)
 
     def write(self, pos: int, data) -> int:
@@ -165,9 +175,12 @@ class FrameTimes:
 
     ``t_first_sent`` and ``t_last_sent`` are when a channel accepted the
     frame's first and last words.  ``t_first_recv`` and ``t_last_recv`` are
-    when the first and last words landed in the subscriber's reassembly
-    buffer, whichever thread copied them.  For a frame a writer delivered
-    straight to a parked reader, the reader wakes after ``t_last_recv``.
+    when the first and last words reached the subscriber port: for a frame
+    read from its channel, when they landed in the port's reassembly
+    buffer; for a frame a writer handed to a parked reader by reference,
+    when its first and last pieces were handed over, and the reader wakes
+    after ``t_last_recv``; for a fused subscriber, both are when the
+    publisher handed it the frame's segments.
     """
 
     topic: str
@@ -192,10 +205,9 @@ class StreamChannel:
 
     A reader that finds the channel empty may ``park`` its port as the
     ``receiver``.  While one is parked, ``write_some`` enqueues nothing: it
-    copies the words straight into the receiver's reassembly buffer, with no
-    capacity limit, and at the end-of-message marker it hands the receiver
-    the completed frame, unparks it and sets its waker.  ``unpark`` collects
-    that frame, if any.
+    hands each piece straight to the receiver, with no capacity limit, and
+    at the end-of-message marker it hands the receiver the completed frame,
+    unparks it and sets its waker.  ``unpark`` collects that frame, if any.
     """
 
     __slots__ = (
@@ -245,6 +257,11 @@ class StreamChannel:
         original publisher's times.  Returns 0 without side effects when
         full (except that a zero-word marker is always accepted).  With a
         receiver parked, all of ``data`` goes straight to it instead.
+
+        Either way the channel keeps a reference to ``data``, not a copy:
+        queued, until the reader has read it; handed to a parked receiver,
+        until the receiver has decoded its frame.  The caller must not
+        change ``data`` meanwhile.
         """
         nbytes = len(data)
         with self._lock:
@@ -264,7 +281,7 @@ class StreamChannel:
                 if final and meta.t_last_sent is None:
                     meta.t_last_sent = self._clock()
             if receiver is not None:
-                done = receiver._absorb(data, final, meta)
+                done = receiver._hold(data, final, meta)
                 if final:
                     receiver._rx_done = done
                     self.receiver = None
@@ -365,8 +382,7 @@ class StreamChannel:
     def unpark(self, port: "PortHandle"):
         """Stop delivering to ``port``; return the frame completed meanwhile, or None.
 
-        The frame is (length, meta, t_first_recv, t_last_recv), its bytes in
-        the port's reassembly buffer.
+        The frame is (pieces, meta, t_first_recv, t_last_recv).
         """
         with self._lock:
             self.receiver = None
@@ -442,9 +458,10 @@ class TraceLog:
     """Thread-safe collector of per-frame delivery events.
 
     One record per frame a subscriber port completes, made in the
-    subscriber's thread.  The receive times are when the words landed in the
-    port's reassembly buffer (see ``FrameTimes``), so for a frame delivered
-    straight to a parked reader the record is made after ``t_last_recv``.
+    subscriber's thread.  The receive times are when the frame's first and
+    last words reached the port (see ``FrameTimes``): for a frame a writer
+    handed to a parked reader by reference, when its first and last pieces
+    were handed over, so the record is made after ``t_last_recv``.
     """
 
     CSV_HEADER = (
@@ -489,11 +506,12 @@ class PortHandle:
     most recently completed frame on this port.
 
     A ``take_blocking`` that finds its channel empty parks the port as the
-    channel's receiver and waits.  The writer then copies the words into
-    this port's reassembly buffer itself and wakes the port once, when the
-    frame is complete; the port stamps, traces and decodes it in its own
-    thread.  A wake-up before then unparks the port, and the rest of the
-    frame arrives through the channel or in a later park.  ``take_try`` and
+    channel's receiver and waits.  The writer then hands the port each piece
+    of the frame by reference and wakes it once, when the frame is
+    complete; the port stamps, traces and decodes it from those pieces in
+    its own thread.  A wake-up before then unparks the port: the pieces it
+    holds are copied into its reassembly buffer, and the rest of the frame
+    arrives through the channel or in a later park.  ``take_try`` and
     ``read_chunk`` never park.
 
     Publishing hands ``bytes`` to the channels by reference (a ``uint8``
@@ -552,6 +570,7 @@ class PortHandle:
         self._rx = GrowBuffer()
         self._rx_len = 0
         self._rx_first_t: int | None = None
+        self._held: list | None = None  # pieces of a frame handed over while parked
         self._rx_done: tuple | None = None  # a frame completed while parked, not yet taken
         # publisher chunk-stream state
         self._tx_meta: FrameMeta | None = None
@@ -784,17 +803,52 @@ class PortHandle:
     def _absorb(self, data, last: bool, meta: FrameMeta | None):
         """Append a chunk to the reassembly buffer.
 
-        At the frame's marker, returns (length, meta, t_first_recv,
-        t_last_recv) and resets for the next frame; otherwise None.
+        At the frame's marker, returns (pieces, meta, t_first_recv,
+        t_last_recv), the one piece a view of the buffer, and resets for the
+        next frame; otherwise None.
         """
         if self._rx_first_t is None:
             self._rx_first_t = self._clock()
         self._rx_len = self._rx.write(self._rx_len, data)
         if not last:
             return None
-        done = (self._rx_len, meta, self._rx_first_t, self._clock())
+        last_t = self._clock()
+        done = ((self._rx.view[: self._rx_len],), meta, self._rx_first_t, last_t)
         self._rx_len = 0
         self._rx_first_t = None
+        return done
+
+    def _hold(self, data, last: bool, meta: FrameMeta | None):
+        """Keep a chunk a writer hands this parked port, by reference.
+
+        Returns as ``_absorb`` does.  A frame that started in the
+        reassembly buffer goes on there, with a copy.
+        """
+        held = self._held
+        if held is None:
+            if self._rx_first_t is not None:
+                return self._absorb(data, last, meta)
+            self._rx_first_t = self._clock()
+            held = self._held = []
+        held.append(data)
+        if not last:
+            return None
+        self._held = None
+        done = (held, meta, self._rx_first_t, self._clock())
+        self._rx_first_t = None
+        return done
+
+    def _unpark(self):
+        """Unpark from the channel; return the frame completed meanwhile, or None.
+
+        The pieces held of a frame not yet complete are copied into the
+        reassembly buffer, ahead of the rest, which comes through the
+        channel or in a later park.
+        """
+        done = self.channel.unpark(self)
+        held, self._held = self._held, None
+        for piece in held or ():
+            self._rx_len = self._rx.write(self._rx_len, piece)
         return done
 
     def _take(self, blocking: bool) -> MessageValue | None:
@@ -815,9 +869,9 @@ class PortHandle:
                     except BaseException:
                         # e.g. KeyboardInterrupt: stop direct delivery and
                         # keep a frame it finished for the next take
-                        self._rx_done = channel.unpark(self)
+                        self._rx_done = self._unpark()
                         raise
-                    done = channel.unpark(self)
+                    done = self._unpark()
                     if done is not None:
                         return self._complete(*done)
                 continue
@@ -826,17 +880,14 @@ class PortHandle:
                 return self._complete(*done)
 
     def _accept(self, segments, meta: FrameMeta) -> MessageValue:
-        """Reassemble and decode a frame a fused publisher hands over by call."""
-        first_t = self._clock()
-        n = 0
-        for segment in segments:
-            n = self._rx.write(n, segment)
-        return self._complete(n, meta, first_t, self._clock())
+        """Decode a frame a fused publisher hands over by call, from its segments."""
+        t = self._clock()
+        return self._complete(segments, meta, t, t)
 
-    def _complete(self, n: int, meta: FrameMeta, first_t: int, last_t: int) -> MessageValue:
-        """Stamp and decode the ``n`` reassembled bytes of a whole frame."""
+    def _complete(self, pieces, meta: FrameMeta, first_t: int, last_t: int) -> MessageValue:
+        """Stamp a whole frame and decode it from its ``pieces``."""
         self._finish_frame(meta, first_t, last_t)
-        return deserialize(Frame(self._rx.view[:n]), self.plan)
+        return deserialize_segments(pieces, self.plan)
 
     def take_blocking(self) -> MessageValue:
         """Receive the oldest complete message, waiting as long as needed."""

@@ -18,6 +18,14 @@ copied, because a publish can return before the subscriber has read the
 frame and the caller may then change them.  ``serialize`` joins the
 segments into one contiguous frame.
 
+``deserialize_segments`` is the inverse, and runs the same decoder.  It
+decodes a one-segment frame in place.  A segment that views a ``bytes``
+object as ``serialize_segments`` emits it becomes the value of the ``uint8``
+array it lines up with: the caller's object itself when the array has no
+unaligned first or last bytes, else those bytes and the view joined in one
+copy.  Any other layout, and any frame that does not decode, is decoded
+joined, so its errors read exactly as ``deserialize``'s.
+
 ``flatten`` compiles every plan it makes into a ``Codec``, so the work is
 done once, when a topology is built; ``serialize`` and ``deserialize`` only
 run it.  Each level of a plan (its top level, and the element of each group
@@ -174,8 +182,56 @@ def serialize_segments(value: MessageValue, plan: SerializationPlan) -> list:
 
 def deserialize(frame: Frame, plan: SerializationPlan) -> MessageValue:
     """Decode a frame produced for the same plan back into a value tree."""
-    buf = memoryview(frame.payload)
-    values, pos = _decode(plan.codec, 1, buf, 0, None)
+    return _deserialize(plan.codec, memoryview(frame.payload), None)
+
+
+def deserialize_segments(segments, plan: SerializationPlan) -> MessageValue:
+    """Decode a frame given as its segments, the inverse of ``serialize_segments``.
+
+    Each segment must be a whole number of words.  The segments are only
+    read, and a decoded ``uint8`` array may be the object a view segment
+    shows (see the module docstring).
+    """
+    if len(segments) != 1:
+        views, rest, size = [], [], 0
+        for segment in segments:
+            if _is_view(segment):
+                views.append((size, segment))  # where it sits among the rest
+            else:
+                rest.append(segment)
+                size += len(segment)
+        if views and size % 4 == 0:
+            views.reverse()  # the next one to line up with an array is last
+            try:
+                value = _deserialize(plan.codec, memoryview(b"".join(rest)), views)
+                if not views:  # each lined up with its array
+                    return value
+            except DeserializationError:
+                pass
+        segments = (b"".join(segments),)
+    return deserialize(Frame(segments[0]), plan)
+
+
+def _is_view(segment) -> bool:
+    """Whether ``segment`` is a view ``_Out.append_view`` could have made.
+
+    That is, a whole number of words viewing a ``bytes`` object of at least
+    ``VIEW_MIN_BYTES``, all of it but at most six bytes at its two ends.
+    """
+    if segment.__class__ is not memoryview:
+        return False
+    obj = segment.obj
+    return (
+        obj.__class__ is bytes
+        and len(obj) >= VIEW_MIN_BYTES
+        and len(obj) - len(segment) <= 6
+        and len(segment) % 4 == 0
+    )
+
+
+def _deserialize(codec: Codec, buf: memoryview, views) -> MessageValue:
+    """Decode one message from ``buf``; ``views`` are as for ``_decode``."""
+    values, pos = _decode(codec, 1, buf, 0, None, views)
     tail = len(buf) - pos
     if tail >= 4 or buf[pos:] != b"\x00" * tail:
         raise DeserializationError(
@@ -515,11 +571,19 @@ def _enc_array(slot: PlanSlot, packer, args, bound: int, v, out: _Out) -> None:
         out += struct.pack(f"<{n}{_STRUCT_CODE[primitive]}", *v)
 
 
-def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None):
+def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None, views):
     """``n`` values of ``codec``'s level read from ``buf`` at ``pos``.
 
     Returns them in a list, with the position after them.  ``path`` is as
     for ``_encode``.
+
+    ``views``, when given, are view segments cut out of the frame, in
+    reverse frame order, each with the position in ``buf`` it was cut from.
+    A ``uint8`` array whose bytes span the last of them takes it (see
+    ``_dec_array``).  Positions only grow, so a view that some other read
+    steps over is never taken.  If ``views`` is empty afterwards, every read
+    saw the bytes the joined frame has there; if not, the result is wrong
+    and the joined frame must be decoded instead.
     """
     steps, build, slots = codec.steps, codec.build, codec.slots
     end = len(buf)
@@ -544,9 +608,9 @@ def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None):
                     count = leaves[-1]
                     if count > bound:
                         raise _bound_error(slots[j], count)
-                    leaves[-1], pos = _decode(sub, count, buf, pos, slots[j].path)
+                    leaves[-1], pos = _decode(sub, count, buf, pos, slots[j].path, views)
                 elif kind == _ARRAY:
-                    pos = _dec_array(slots[j], bound, buf, pos, leaves)
+                    pos = _dec_array(slots[j], bound, buf, pos, leaves, views)
             values.append(build(leaves))
         return values, pos
     except DeserializationError as e:
@@ -575,8 +639,12 @@ def _regroup(shape, values) -> list:
     return out
 
 
-def _dec_array(slot: PlanSlot, bound: int, buf: memoryview, pos: int, leaves) -> int:
-    """Decode an array slot; a dynamic array's count is ``leaves[-1]``."""
+def _dec_array(slot: PlanSlot, bound: int, buf: memoryview, pos: int, leaves, views) -> int:
+    """Decode an array slot; a dynamic array's count is ``leaves[-1]``.
+
+    A ``uint8`` array spanning the next of ``views`` takes it: the view is
+    its middle, and only the bytes before and after it come from ``buf``.
+    """
     path, primitive = slot.path, slot.primitive
     if slot.arity.kind == Arity.FIXED:
         n = bound
@@ -604,9 +672,16 @@ def _dec_array(slot: PlanSlot, bound: int, buf: memoryview, pos: int, leaves) ->
         leaves.append(items)
         return pos
     stop = pos + n * PRIMITIVE_WIDTHS[primitive]
+    view = None
+    if views and primitive == "uint8" and pos <= views[-1][0] <= stop - len(views[-1][1]):
+        at, view = views.pop()
+        stop -= len(view)
     if stop > len(buf):
         raise _truncated(stop - pos, path, buf, pos)
-    if primitive == "uint8":
+    if view is not None:
+        whole = stop == pos and len(view) == len(view.obj)
+        leaves.append(view.obj if whole else b"".join((buf[pos:at], view, buf[at:stop])))
+    elif primitive == "uint8":
         leaves.append(bytes(buf[pos:stop]))
     else:
         leaves.append(list(struct.unpack_from(f"<{n}{_STRUCT_CODE[primitive]}", buf, pos)))

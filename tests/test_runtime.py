@@ -147,6 +147,15 @@ class TestGrowBuffer:
         assert len(gb.buf) >= 64
         del pinned
 
+    def test_pinned_export_growth_keeps_written_bytes(self):
+        gb = GrowBuffer()
+        gb.write(0, b"abcd")
+        pinned = gb.view[:2]  # simulate a leaked export
+        gb.write(4, bytes(64))
+        assert bytes(gb.view[:4]) == b"abcd"
+        assert bytes(gb.view[4:68]) == bytes(64)
+        del pinned
+
 
 class TestPortsDirect:
     def test_loopback(self, registry):
@@ -762,6 +771,243 @@ class TestDirectDelivery:
             join_all(threads)
         assert got_parked == got_busy == payloads
         assert waker.wakes > 0
+
+
+class GatedWaker(Waker):
+    """A Waker whose waits, once woken, return only after ``gate`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.gate = threading.Event()
+
+    def wait(self) -> None:
+        super().wait()
+        assert self.gate.wait(DEADLINE_S), "the gate was never opened"
+
+
+class TestTakeByReference:
+    """A parked reader decodes a frame from the pieces handed to it, uncopied."""
+
+    BLOB = TestDirectDelivery.BLOB
+    NAMED = "node a\n pub T demo/Named\nnode b\n sub T demo/Named\n"
+
+    @pytest.fixture
+    def named(self):
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("string name\nuint8[] data\nuint16 tail", "demo/Named"))
+        return reg.resolve()
+
+    @staticmethod
+    def count_joined(monkeypatch) -> list:
+        """Record the length of each frame decoded joined or from one piece."""
+        sizes = []
+        decode = serde.deserialize
+
+        def counted(frame, plan):
+            sizes.append(len(frame.payload))
+            return decode(frame, plan)
+
+        monkeypatch.setattr(serde, "deserialize", counted)
+        return sizes
+
+    @staticmethod
+    def take_in_thread(sub, n: int = 1):
+        """Start a thread taking ``n`` values from ``sub``; returns (thread, values, errors)."""
+        out, errors = [], []
+
+        def take():
+            try:
+                for _ in range(n):
+                    out.append(sub.take_blocking())
+            except ShutdownError as e:
+                errors.append(e)
+
+        reader = threading.Thread(target=take)
+        reader.start()
+        return reader, out, errors
+
+    def test_parked_reader_gets_the_published_object(self, registry, monkeypatch):
+        joined = self.count_joined(monkeypatch)
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        payloads = [random.Random(k).randbytes(VIEW_MIN_BYTES + 4 * k) for k in range(3)]
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            waker = count_wakes(sub)
+            reader, out, _ = self.take_in_thread(sub, len(payloads))
+            for p in payloads:
+                wait_parked(sub)
+                pub.publish_blocking({"data": p})
+            join_all([reader])
+        assert [value["data"] for value in out] == payloads
+        assert all(value["data"] is p for value, p in zip(out, payloads))
+        assert joined == [] and waker.wakes == len(payloads)
+
+    @pytest.mark.parametrize("capacity", [16, VIEW_MIN_BYTES // 4 + 1], ids=["chunked", "whole"])
+    def test_two_parked_subscribers_of_a_broadcast_get_equal_values(self, registry, capacity):
+        cfg = self.BLOB + "node c\n sub T demo/Blob\n"
+        inst = build(cfg, registry, {n: EXTERNAL for n in "abc"},
+                     default_capacity_words=capacity)
+        payload = random.Random(5).randbytes(VIEW_MIN_BYTES)
+        with inst, watchdog(inst):
+            subs = [inst.subscriber(n, "T") for n in "bc"]
+            takes = [self.take_in_thread(sub) for sub in subs]
+            for sub in subs:
+                wait_parked(sub)
+            inst.publisher("a", "T").publish_blocking({"data": payload})
+            join_all([reader for reader, _, _ in takes])
+        (_, got_b, _), (_, got_c, _) = takes
+        assert got_b == got_c == [{"data": payload}]
+
+    def test_bytearray_payload_changed_after_the_publish_arrives_unchanged(self, registry):
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        payload = bytearray(random.Random(6).randbytes(VIEW_MIN_BYTES))
+        original = bytes(payload)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            sub.waker = sub.channel.reader_waker = waker = GatedWaker()
+            reader, out, _ = self.take_in_thread(sub)
+            wait_parked(sub)
+            pub.publish_blocking({"data": payload})
+            payload[:] = bytes(len(payload))  # before the reader decodes
+            waker.gate.set()
+            join_all([reader])
+        assert out == [{"data": original}]
+
+    def test_payload_after_an_odd_length_string_round_trips(self, named, monkeypatch):
+        joined = self.count_joined(monkeypatch)
+        inst = build(self.NAMED, named, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        payload = random.Random(7).randbytes(VIEW_MIN_BYTES + 3)
+        value = {"name": "abc", "data": payload, "tail": 513}
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            segments = serialize_segments(value, pub.plan)
+            view = next(s for s in segments if isinstance(s, memoryview))
+            assert view.obj is payload and len(view) < len(payload)  # edges copied
+            reader, out, _ = self.take_in_thread(sub)
+            wait_parked(sub)
+            pub.publish_blocking(value)
+            join_all([reader])
+        assert out == [value] and joined == []
+
+    def test_write_chunk_pieces_that_line_up_with_no_array_are_decoded_joined(
+        self, registry, monkeypatch
+    ):
+        joined = self.count_joined(monkeypatch)
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        payload = random.Random(8).randbytes(2 * VIEW_MIN_BYTES)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            frame = bytes(serialize({"data": payload}, pub.plan).payload)
+            head = frame[:VIEW_MIN_BYTES]  # a whole bytes object: sent by reference
+            reader, out, _ = self.take_in_thread(sub)
+            wait_parked(sub)
+            pub.write_chunk(head)
+            assert sub.channel.buffered_words() == 0  # handed to the parked reader
+            pub.write_chunk(frame[VIEW_MIN_BYTES:], last=True)
+            join_all([reader])
+        assert out == [{"data": payload}] and joined == [len(frame)]
+
+    def test_spurious_wake_moves_the_held_pieces_ahead_of_the_channel(self, named):
+        # Staged as in TestDirectDelivery: the reader is woken once the
+        # first two segments were handed to it, and the last segment is
+        # written while it is unparked, so it is queued in the channel.
+        staged = []
+
+        class StagedChannel(StreamChannel):
+            def unpark(self, port):
+                done = super().unpark(port)
+                if done is None and not staged:
+                    staged.append(self.write_some(memoryview(segments[2]), True, meta))
+                    staged.append(self.buffered_words())
+                return done
+
+        inst = build(self.NAMED, named, {"a": EXTERNAL, "b": EXTERNAL})
+        sub = inst.subscriber("b", "T")
+        payload = random.Random(9).randbytes(VIEW_MIN_BYTES + 1)
+        value = {"name": "ab", "data": payload, "tail": 3}
+        segments = serialize_segments(value, sub.plan)
+        assert len(segments) == 3 and segments[1].obj is payload
+        meta = FrameMeta("T", "a", 0)
+        ch = StagedChannel(len(segments[2]) // 4, "T->b")
+        sub.channel, sub.channels, ch.reader_waker = ch, (ch,), sub.waker
+        inst._channels = [ch]
+        with inst, watchdog(inst):
+            reader, out, _ = self.take_in_thread(sub)
+            wait_parked(sub)
+            for segment in segments[:2]:
+                assert ch.write_some(memoryview(segment), False, meta) == len(segment) // 4
+            assert ch.buffered_words() == 0  # both were handed over
+            sub.waker.set()  # the spurious wake
+            join_all([reader])
+        assert staged == [len(segments[2]) // 4] * 2
+        assert out == [value]
+        frame = b"".join(segments)
+        assert bytes(sub._rx.view[: len(frame)]) == frame
+
+    def test_shutdown_during_a_held_frame_never_surfaces_it(self, registry):
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            frame = bytes(serialize({"data": bytes(2 * VIEW_MIN_BYTES)}, pub.plan).payload)
+            reader, out, errors = self.take_in_thread(sub)
+            wait_parked(sub)
+            pub.write_chunk(frame[:VIEW_MIN_BYTES])  # held by the parked reader
+            assert sub.channel.buffered_words() == 0 and reader.is_alive()
+            inst.shutdown()
+            join_all([reader])
+        assert (out, len(errors), sub.last_times) == ([], 1, None)
+        with pytest.raises(ShutdownError):
+            sub.take_try()
+
+    def test_interrupted_wait_keeps_a_held_frame_for_the_next_take(self, registry):
+        class Interrupt(Exception):
+            pass
+
+        whole = random.Random(10).randbytes(VIEW_MIN_BYTES)
+        cut = random.Random(11).randbytes(VIEW_MIN_BYTES)
+
+        class InterruptingWaker(Waker):
+            """Raises from the first two waits: after a whole frame was
+            handed to the parked reader, then after the first half of one."""
+
+            def __init__(self):
+                super().__init__()
+                self.staged = [whole, cut]
+
+            def wait(self):
+                if not self.staged:
+                    return super().wait()
+                payload = self.staged.pop(0)
+                if payload is whole:
+                    pub.publish_blocking({"data": payload})
+                else:
+                    pub.write_chunk(frame[:VIEW_MIN_BYTES])
+                raise Interrupt
+
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            frame = bytes(serialize({"data": cut}, pub.plan).payload)
+            sub.waker = sub.channel.reader_waker = InterruptingWaker()
+            with pytest.raises(Interrupt):
+                sub.take_blocking()
+            assert sub.channel.receiver is None
+            assert sub.take_blocking()["data"] is whole
+            with pytest.raises(Interrupt):
+                sub.take_blocking()
+            assert sub.channel.receiver is None
+            sender = threading.Thread(
+                target=lambda: pub.write_chunk(frame[VIEW_MIN_BYTES:], last=True)
+            )
+            sender.start()  # the rest queues in the channel behind the held half
+            assert sub.take_blocking() == {"data": cut}
+            join_all([sender])
 
 
 class TestArbiter:

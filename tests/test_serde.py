@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamdds.msgdef import TypeRegistry, flatten, parse_msg_file
+from streamdds import serde
+from streamdds.msgdef import Arity, TypeRegistry, flatten, parse_msg_file
 from streamdds.serde import (
     VIEW_MIN_BYTES,
     DeserializationError,
@@ -14,6 +15,7 @@ from streamdds.serde import (
     SerializationError,
     conforms_to,
     deserialize,
+    deserialize_segments,
     serialize,
     serialize_segments,
 )
@@ -533,6 +535,140 @@ class TestRoundTrip:
         value = random_value(rng, registry, root)
         frame = serialize(value, plan)
         assert len(frame.payload) == (plan.fixed_size_bytes + 3) // 4 * 4
+
+
+# Views from 7 bytes, the least ``append_view`` takes, so that the short
+# arrays of random values travel as views too.
+SMALL_VIEWS = 7
+
+
+def widen_bytes(rng: random.Random, registry, type_name: str, value: dict) -> dict:
+    """``value`` with every unbounded ``uint8`` array given 0-40 random bytes."""
+    for f in registry.get(type_name).fields:
+        if f.type_name == "uint8" and f.arity.kind == Arity.UNBOUNDED:
+            value[f.name] = rng.randbytes(rng.randint(0, 40))
+        elif not f.is_primitive:
+            v = value[f.name]
+            for element in [v] if f.arity.kind == Arity.SCALAR else v:
+                widen_bytes(rng, registry, f.type_name, element)
+    return value
+
+
+def split_words(rng: random.Random, segments) -> list:
+    """``segments`` as memoryviews, each cut at up to two random word boundaries."""
+    pieces = []
+    for segment in segments:
+        mv = memoryview(segment)
+        cuts = sorted(rng.sample(range(4, len(mv), 4), min(2, max(0, len(mv) // 4 - 1))))
+        for a, b in zip([0, *cuts], [*cuts, len(mv)]):
+            pieces.append(mv[a:b])
+    return pieces
+
+
+def cut_segments(segments, n: int) -> list:
+    """The first ``n`` bytes of the frame ``segments`` make, as segments."""
+    out = []
+    for segment in segments:
+        if n <= 0:
+            break
+        out.append(segment[:n])
+        n -= len(segment)
+    return out
+
+
+def outcome(decode, *args):
+    """``decode``'s value (as its repr, so NaNs compare), or its error text."""
+    try:
+        return repr(decode(*args))
+    except DeserializationError as e:
+        return f"DeserializationError: {e}"
+
+
+class TestDeserializeSegments:
+    """``deserialize_segments`` decodes as ``deserialize`` does the joined frame."""
+
+    @staticmethod
+    def case(seed: int):
+        rng = random.Random(seed)
+        registry, root = random_registry(rng)
+        value = widen_bytes(rng, registry, root, random_value(rng, registry, root))
+        return rng, flatten(registry, root), value
+
+    def check_round_trip(self, seed: int) -> int:
+        """Check one random value; return how many of its segments are views."""
+        rng, plan, value = self.case(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serde, "VIEW_MIN_BYTES", SMALL_VIEWS)
+            segments = serialize_segments(value, plan)
+            expected = deserialize(serialize(value, plan), plan)
+            assert deserialize_segments(segments, plan) == expected
+            # as a channel hands them over: whole, or in smaller pieces
+            assert deserialize_segments([memoryview(s) for s in segments], plan) == expected
+            assert deserialize_segments(split_words(rng, segments), plan) == expected
+        return sum(isinstance(s, memoryview) for s in segments)
+
+    def check_errors(self, seed: int) -> None:
+        """Check that cut or corrupted segments fail as the joined frame does."""
+        rng, plan, value = self.case(seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serde, "VIEW_MIN_BYTES", SMALL_VIEWS)
+            segments = serialize_segments(value, plan)
+            frame = b"".join(segments)
+            for n in range(0, len(frame), 4):
+                got = outcome(deserialize_segments, cut_segments(segments, n), plan)
+                assert got == outcome(deserialize, Frame(frame[:n]), plan)
+                assert got.startswith("DeserializationError")
+            # a view's bytes are raw uint8 data: corrupt the encoded rest
+            plain = [bytearray(s) if not isinstance(s, memoryview) else s for s in segments]
+            targets = [s for s in plain if isinstance(s, bytearray) and s]
+            for _ in range(3 if targets else 0):
+                for _ in range(rng.randint(1, 4)):
+                    target = rng.choice(targets)
+                    target[rng.randrange(len(target))] = rng.randrange(256)
+                got = outcome(deserialize_segments, plain, plan)
+                assert got == outcome(deserialize, Frame(b"".join(plain)), plan)
+
+    def test_seeded_sweep_with_views(self):
+        with_views = [seed for seed in range(1000) if self.check_round_trip(seed)]
+        assert len(with_views) >= 30
+        for seed in with_views:
+            self.check_errors(seed)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_property_matches_joined_frame(self, seed):
+        self.check_round_trip(seed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_cut_or_corrupted_segments_fail_as_the_joined_frame(self, seed):
+        self.check_errors(seed)
+
+    @pytest.mark.parametrize(
+        "rest",
+        [struct.pack("<II", 7, VIEW_MIN_BYTES), struct.pack("<II", 7, 4) + b"abcd"],
+        ids=["stepped-over-then-spanned", "never-spanned"],
+    )
+    def test_view_that_lines_up_with_no_array_is_decoded_joined(self, rest):
+        # The frame's first VIEW_MIN_BYTES bytes come as one bytes object, as
+        # a write_chunk producer may send them.  Without that piece, the
+        # rest decodes on its own: the view never lines up with an array.
+        _, plan = plan_for("uint32 x\nuint8[] data")
+        value = {"x": 5, "data": bytes(VIEW_MIN_BYTES - 8) + rest}
+        frame = bytes(serialize(value, plan).payload)
+        assert frame[VIEW_MIN_BYTES:] == rest
+        pieces = [memoryview(frame[:VIEW_MIN_BYTES]), memoryview(frame[VIEW_MIN_BYTES:])]
+        assert deserialize_segments(pieces, plan) == value
+
+    def test_whole_aligned_view_is_the_callers_object(self):
+        _, plan = plan_for("uint32 seq\nuint8[] data")
+        data = bytes(range(256)) * (VIEW_MIN_BYTES // 256)
+        segments = serialize_segments({"seq": 1, "data": data}, plan)
+        assert len(segments) == 2
+        assert deserialize_segments(segments, plan)["data"] is data
+        pieces = [memoryview(s) for s in segments]  # as a channel hands them over
+        assert deserialize_segments(pieces, plan) == {"seq": 1, "data": data}
+        assert deserialize_segments(pieces, plan)["data"] is data
 
 
 class TestErrorContract:
