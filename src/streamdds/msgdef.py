@@ -8,7 +8,8 @@ acyclic) and then flattened into a serialization plan: the ordered list of
 primitive slots that a codec walks when writing or reading a wire frame.
 Fixed-length nested arrays unroll into consecutive copies of the element's
 slots; dynamically sized nested arrays become a count-prefixed group of
-sub-slots.
+sub-slots, which names its element type.  The plan's codec is compiled from
+the slots and the type definitions: a slot's path only names it in errors.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ PRIMITIVE_WIDTHS: dict[str, int] = {
 }
 
 PRIMITIVES = frozenset(PRIMITIVE_WIDTHS)
+
+# The largest count of an array of a type whose values have no bytes on the
+# wire.  A frame's length limits any other group's count, but nothing limits
+# this one's: a 4-byte count could decode into billions of dicts.
+NO_BYTES_BOUND = 0xFFFF
 
 _IDENT_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # Nested type references are CamelCase, optionally package-qualified.
@@ -368,12 +374,14 @@ class GroupSlot:
     """A dynamically repeated run of sub-slots (array of a nested type).
 
     On the wire: a uint32 element count followed by that many repetitions of
-    ``element_slots``.  Sub-slot paths are relative to one element.
+    ``element_slots``, the slots of the nested type ``element_type``.
+    Sub-slot paths are relative to one element.
     """
 
     path: str
     arity: Arity  # bounded or unbounded
     element_slots: tuple[Union[PlanSlot, "GroupSlot"], ...]
+    element_type: str
 
     @property
     def is_dynamic(self) -> bool:
@@ -438,7 +446,10 @@ def _expand(registry: TypeRegistry, type_name: str, prefix: str) -> list[Slot]:
                 slots.extend(_expand(registry, f.type_name, f"{path}[{i}]."))
         else:
             element = tuple(_expand(registry, f.type_name, ""))
-            slots.append(GroupSlot(path, f.arity, element))
+            arity = f.arity
+            if not element:  # only a bound limits the count of values with no bytes
+                arity = Arity.bounded(min(arity.size or NO_BYTES_BOUND, NO_BYTES_BOUND))
+            slots.append(GroupSlot(path, arity, element, f.type_name))
     return slots
 
 
@@ -454,7 +465,7 @@ def flatten(registry: TypeRegistry, type_name: str) -> SerializationPlan:
             fixed = None
             break
         fixed += width
-    return SerializationPlan(type_name, slots, fixed, _serde.Codec(slots))
+    return SerializationPlan(type_name, slots, fixed, _serde.Codec(registry, type_name, slots))
 
 
 # serde imports the names above, so it is imported last; flatten looks its

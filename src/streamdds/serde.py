@@ -31,11 +31,11 @@ done once, when a topology is built; ``serialize`` and ``deserialize`` only
 run it.  Each level of a plan (its top level, and the element of each group
 slot) compiles into its own ``Codec``:
 
-- a reader of the level's slot values and a builder of its dict, from a
-  shape tree nested once from the slot paths.  A level whose slots are all
-  fields of one dict reads them with one ``operator.itemgetter``, and
-  builds its dict with a dict display if it has at most eight fields, else
-  with ``dict(zip(...))``;
+- a reader of the level's slot values and a builder of its dict, from the
+  type definitions.  Every dict, at the top, nested or in a group element,
+  reads its fields with one ``operator.itemgetter`` and is built with a
+  dict display if it has at most eight fields, else with ``dict(zip(...))``;
+  the slot values of a nested scalar or fixed array take its field's place;
 - steps over those slot values in wire order.  Each step has one pre-built
   ``struct.Struct`` for a run of consecutive fixed-width slots (scalars
   other than string, and fixed arrays of numbers other than ``uint8``) and
@@ -275,17 +275,15 @@ _NO_BOUND = 0xFFFFFFFF  # the largest uint32 count
 class Codec:
     """One level of a plan compiled: a message's top level, or a group's element.
 
-    ``get(value)`` reads the level's slot values from a value, in plan order,
-    as a tuple, and ``build(values)`` makes a value back from them.  A flat
-    level of at most eight fields reads them with ``_getter`` and builds its
-    dict with one of ``_DICTS``; any other level uses its shape tree
-    (``_tree_codec``).  ``steps`` encode and decode the slot values (see
-    ``_step``).  ``slots`` are the level's plan slots.
+    ``fields`` reads the level's slot values from a value of its type, and
+    builds a value back from them (see ``_Fields``).  ``steps`` encode and
+    decode the slot values (see ``_step``).  ``slots`` are the level's plan
+    slots.
     """
 
-    __slots__ = ("get", "steps", "build", "slots")
+    __slots__ = ("fields", "steps", "slots")
 
-    def __init__(self, slots: tuple):
+    def __init__(self, registry: TypeRegistry, type_name: str, slots: tuple):
         self.slots = slots
         steps = []
         codes, shape, bools = ["<"], [], []  # the open run, from slots[start]
@@ -301,7 +299,7 @@ class Codec:
                         bools.append(i - start)
                     continue
             if slot.__class__ is GroupSlot:
-                kind, sub = _GROUP, Codec(slot.element_slots)
+                kind, sub = _GROUP, Codec(registry, slot.element_type, slot.element_slots)
             else:
                 kind, sub = (_STRING if slot.arity.kind == Arity.SCALAR else _ARRAY), None
             if slot.arity.kind != Arity.FIXED:
@@ -313,17 +311,71 @@ class Codec:
         if shape:
             steps.append(_step(_END, codes, shape, bools, start, len(slots), _NO_BOUND, None))
         self.steps = tuple(steps)
-        keys = [slot.path for slot in slots]
-        if len(keys) < len(_DICTS) and not any("." in key for key in keys):
-            self.get, self.build = _getter(keys), partial(_DICTS[len(keys)], tuple(keys))
-        else:
-            self.get, self.build = _tree_codec(_shape(slots))
+        self.fields = _Fields(registry, type_name)
 
 
-# Builders of a flat level's dict from its keys and slot values, by field
-# count; larger levels keep the shape tree's ``dict(zip(keys, values))``.  A
-# dict display builds a six-field dict in a little over half that time,
-# which is most of what decoding saves on a group of many small elements.
+class _Fields:
+    """The dicts of one message type, read into slot values and built back.
+
+    ``get(value)`` returns a dict's slot values in plan order, as a tuple,
+    and ``build(values)`` makes the dict back from them.  A field has one
+    slot value, except a field of a nested type that is a scalar or a fixed
+    array: the slot values of its dicts stand in its place, in order.
+    ``take`` reads a dict's fields with one ``_getter``, and ``make`` builds
+    it from its fields' values with one of ``_DICTS``; a type without such a
+    nested field has them as its ``get`` and ``build``.
+    """
+
+    __slots__ = ("keys", "parts", "size", "take", "make", "get", "build")
+
+    def __init__(self, registry: TypeRegistry, type_name: str):
+        fields = registry.get(type_name).fields
+        self.keys = keys = tuple([f.name for f in fields])
+        self.take = self.get = _getter(keys)
+        self.make = self.build = partial(_DICTS[min(len(keys), len(_DICTS) - 1)], keys)
+        # per field (sub, n, at): a nested field's ``_Fields``, its length (0
+        # for a scalar) and the slices of its dicts' slot values; else
+        # (None, 0, the index of its slot value)
+        parts, k = [], 0
+        for f in fields:
+            if f.is_primitive or f.arity.is_dynamic:
+                parts.append((None, 0, k))
+                k += 1
+                continue
+            sub, n = _Fields(registry, f.type_name), f.arity.size or 0
+            at = [slice(k + i * sub.size, k + (i + 1) * sub.size) for i in range(n or 1)]
+            parts.append((sub, n, tuple(at) if n else at[0]))
+            k += sub.size * (n or 1)
+            self.get, self.build = self._get_nested, self._build_nested
+        self.parts, self.size = tuple(parts), k
+
+    def _get_nested(self, value) -> tuple:
+        values = []
+        for v, (sub, n, _) in zip(self.take(value), self.parts):
+            if sub is None:
+                values.append(v)
+            elif not n:
+                values += sub.get(v)
+            elif len(v) != n:
+                raise IndexError(n)
+            else:
+                for element in v:
+                    values += sub.get(element)
+        return tuple(values)
+
+    def _build_nested(self, values) -> dict:
+        return self.make([
+            values[at] if sub is None
+            else [sub.build(values[s]) for s in at] if n
+            else sub.build(values[at])
+            for sub, n, at in self.parts
+        ])
+
+
+# Builders of a dict from its keys and its fields' values, by field count.
+# A dict display builds a six-field dict in a little over half the time of
+# ``dict(zip(keys, values))``, which is most of what decoding saves on a
+# group of many small elements.
 _DICTS = (
     lambda k, v: {},
     lambda k, v: {k[0]: v[0]},
@@ -336,6 +388,7 @@ _DICTS = (
                   k[6]: v[6]},
     lambda k, v: {k[0]: v[0], k[1]: v[1], k[2]: v[2], k[3]: v[3], k[4]: v[4], k[5]: v[5],
                   k[6]: v[6], k[7]: v[7]},
+    lambda k, v: dict(zip(k, v)),  # nine fields or more
 )
 
 
@@ -362,30 +415,6 @@ def _step(kind, codes, shape, bools, i, j, bound, sub) -> tuple:
     return (kind, struct.Struct("".join(codes)), slice(i, j), j, mixed, bound, sub)
 
 
-def _shape(slots: tuple) -> dict:
-    """Nest one level's slots by their dotted paths.
-
-    A dict maps each field name to its slot or to a nested dict; a fixed
-    array of a nested type becomes a list of such dicts, one per element.
-    Slots are inserted in plan order, so every dict iterates in wire order.
-    """
-    tree: dict = {}
-    for slot in slots:
-        node = tree
-        *outer, last = slot.path.split(".")
-        for part in outer:
-            name, bracket, idx = part.partition("[")
-            if bracket:
-                elements = node.setdefault(name, [])
-                if int(idx[:-1]) == len(elements):
-                    elements.append({})
-                node = elements[-1]
-            else:
-                node = node.setdefault(name, {})
-        node[last] = slot
-    return tree
-
-
 def _getter(keys: list):
     """A function from a dict to the tuple of its values at ``keys``."""
     if len(keys) == 1:
@@ -398,70 +427,9 @@ def _get_one(key, value) -> tuple:
 
 
 def _get_none(value) -> tuple:
+    if not isinstance(value, dict):  # as ``itemgetter`` fails on one
+        raise TypeError("expected a dict")
     return ()
-
-
-def _tree_codec(tree: dict):
-    """(flat, build) for a shape tree.
-
-    ``flat(value)`` returns the value's slot values in plan order; it raises
-    KeyError, TypeError or IndexError where ``value`` does not have the
-    tree's shape.  ``build(values)`` makes a value back from slot values,
-    taking from an iterator only as many as the tree has slots.
-    """
-    keys = list(tree)
-    get = _getter(keys)
-    flats, parts = [], []
-    for key, sub in tree.items():
-        if sub.__class__ is dict:
-            flat, build = _tree_codec(sub)
-        elif sub.__class__ is list:
-            flat, build = _fixed_array_codec(sub)
-        else:
-            flat, build = None, next
-        flats.append(flat)
-        parts.append((key, build))
-    if not any(flats):
-        return get, partial(_build_flat, keys)
-    return partial(_flat_nested, get, flats), partial(_build_nested, parts)
-
-
-def _build_flat(keys, it) -> dict:
-    return dict(zip(keys, it))
-
-
-def _flat_nested(get, flats, value) -> list:
-    leaves = []
-    for sub, v in zip(flats, get(value)):
-        if sub is None:
-            leaves.append(v)
-        else:
-            leaves += sub(v)
-    return tuple(leaves)
-
-
-def _build_nested(parts, values) -> dict:
-    it = iter(values)
-    return {key: part(it) for key, part in parts}
-
-
-def _fixed_array_codec(elements: list):
-    flat_one, build_one = _tree_codec(elements[0])
-    n = len(elements)
-    return partial(_flat_fixed, n, flat_one), partial(_build_fixed, n, build_one)
-
-
-def _flat_fixed(n, flat_one, seq) -> list:
-    if len(seq) != n:
-        raise IndexError(n)
-    leaves = []
-    for element in seq:
-        leaves += flat_one(element)
-    return leaves
-
-
-def _build_fixed(n, build_one, it) -> list:
-    return [build_one(it) for _ in range(n)]
 
 
 # --- running the steps ------------------------------------------------------
@@ -481,7 +449,7 @@ def _encode(codec: Codec, values, out: _Out, path: str | None) -> None:
     ``path`` is the group slot whose elements ``values`` are, or None for a
     message's top level; an error names its slot by the path from there.
     """
-    get, steps, slots = codec.get, codec.steps, codec.slots
+    get, steps, slots = codec.fields.get, codec.steps, codec.slots
     k = -1
     try:
         for k, value in enumerate(values):
@@ -585,7 +553,7 @@ def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None, v
     saw the bytes the joined frame has there; if not, the result is wrong
     and the joined frame must be decoded instead.
     """
-    steps, build, slots = codec.steps, codec.build, codec.slots
+    steps, build, slots = codec.steps, codec.fields.build, codec.slots
     end = len(buf)
     values = []
     try:
@@ -740,10 +708,10 @@ def _value_error(codec: Codec, value) -> SerializationError | None:
     order, except the elements of its groups, whose errors are raised where
     they are encoded.  None if every slot encodes.
     """
-    err = _shape_error(_shape(codec.slots), value, "")
+    err = _shape_error(codec.fields, value, "")
     if err is not None:
         return err
-    leaves, slots = codec.get(value), codec.slots
+    leaves, slots = codec.fields.get(value), codec.slots
     for kind, _, run, j, *_ in codec.steps:
         err = _blame(slots[run], leaves[run])
         if err is None and kind != _END:
@@ -814,32 +782,30 @@ def _blame(slots: tuple, values) -> SerializationError | None:
     return None
 
 
-def _shape_error(tree: dict, value, path: str) -> SerializationError | None:
-    """The error for the first place ``value`` departs from ``tree``'s shape."""
+def _shape_error(fields: _Fields, value, path: str) -> SerializationError | None:
+    """The error for the first place ``value`` departs from the shape of ``fields``' dicts."""
     if not isinstance(value, dict):
         return SerializationError("expected nested value", path)
-    for key, sub in tree.items():
+    for key, (sub, n, _) in zip(fields.keys, fields.parts):
         where = _join(path, key)
         if key not in value:
             return SerializationError("missing field", where)
         v = value[key]
-        if isinstance(sub, dict):
+        if sub is None:
+            continue
+        if not n:
             err = _shape_error(sub, v, where)
-            if err is not None:
-                return err
-        elif isinstance(sub, list):
+        else:
             try:
-                n = len(v)
+                count = len(v)
                 iter(v)
             except TypeError:
                 return SerializationError("expected a sequence", where)
-            err = _count_error(Arity.fixed(len(sub)), n, where)
-            if err is not None:
-                return err
+            err = _count_error(Arity.fixed(n), count, where)
             for k, element in enumerate(v):
-                err = _shape_error(sub[0], element, f"{where}[{k}]")
-                if err is not None:
-                    return err
+                err = err or _shape_error(sub, element, f"{where}[{k}]")
+        if err is not None:
+            return err
     return None
 
 
@@ -858,14 +824,6 @@ def _scalar_conforms(primitive: str, v) -> bool:
     if primitive in ("float32", "float64"):
         return isinstance(v, (int, float)) and not isinstance(v, bool)
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _check_length(arity: Arity, n: int) -> bool:
-    if arity.kind == Arity.FIXED:
-        return n == arity.size
-    if arity.kind == Arity.BOUNDED:
-        return n <= arity.size
-    return True
 
 
 def conforms_to(
@@ -905,7 +863,7 @@ def conforms_to(
                 n = len(fv)
             else:
                 return fpath
-            if not _check_length(f.arity, n):
+            if _count_error(f.arity, n, fpath) is not None:
                 return fpath
             if isinstance(fv, (bytes, bytearray)):
                 continue

@@ -67,13 +67,20 @@ def random_registry(
     """Random acyclic registry; returns (registry, root type name).
 
     Type i only references types with larger indices, so nesting depth is
-    bounded by the type count (<= 5).  Every type gets at least one
-    primitive field so that every value leaves a trace on the wire.
+    bounded by the type count (<= 6).  Sometimes the last type has no
+    fields: its values leave no trace on the wire, but they are still fields
+    of the values of the types that reference it.  Every other type's first
+    field is primitive, so that each of their values leaves a trace on the
+    wire and a mutation of the root's value has a field to break.
     """
     n_types = rng.randint(1, max_types)
     names = [f"{package}/T{i}" for i in range(n_types)]
-    registry = TypeRegistry()
-    for i, name in enumerate(names):
+    if rng.random() < 0.3:
+        names.append(f"{package}/Empty")
+        registry = TypeRegistry([MessageTypeDef(names[-1], ())])
+    else:
+        registry = TypeRegistry()
+    for i, name in enumerate(names[:n_types]):
         fields = []
         n_fields = rng.randint(1, max_fields)
         for j in range(n_fields):

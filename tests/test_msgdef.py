@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamdds.msgdef import (
+    NO_BYTES_BOUND,
     Arity,
     FieldDef,
     GroupSlot,
@@ -177,6 +178,21 @@ class TestFlatten:
         assert group.arity == Arity.bounded(4)
         assert [s.path for s in group.element_slots] == ["v", "tag"]
         assert plan.fixed_size_bytes is None
+
+    def test_array_of_a_type_with_no_bytes_is_bounded(self):
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("", "p/Empty"))
+        reg.register(parse_msg_file("Empty e\nEmpty[2] f", "p/NoBytes"))
+        reg.register(parse_msg_file(
+            "Empty[<=3] g\nNoBytes[] h\nEmpty[1] i\nEmpty[<=70000] j\nNoBytes[<=65535] k", "p/M"
+        ))
+        plan = flatten(reg.resolve(), "p/M")
+        assert [(s.path, s.arity, s.element_type) for s in plan.slots] == [
+            ("g", Arity.bounded(3), "p/Empty"),
+            ("h", Arity.bounded(NO_BYTES_BOUND), "p/NoBytes"),
+            ("j", Arity.bounded(NO_BYTES_BOUND), "p/Empty"),
+            ("k", Arity.bounded(NO_BYTES_BOUND), "p/NoBytes"),
+        ]
 
     def test_requires_resolved_registry(self):
         reg = TypeRegistry()

@@ -489,22 +489,27 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("n", range(11))
     def test_flat_level_of_every_width(self, n):
-        # flat levels of up to eight fields build their dict one way, larger
-        # ones another: cover both, at the top level and in a group element
+        # dicts of up to eight fields are built one way, larger ones another:
+        # cover both, at the top level, in a group element, and nested as a
+        # scalar and as a fixed array
         fields = "".join(f"int16 f{k}\n" for k in range(n))
         reg = TypeRegistry()
         reg.register(parse_msg_file(fields, "t/E"))
         reg.register(parse_msg_file(fields + "E[] items", "t/M"))
+        reg.register(parse_msg_file(fields + "E[] items\nE one\nE[2] two", "t/N"))
         reg = reg.resolve()
-        plan = flatten(reg, "t/M")
         element = {f"f{k}": k - 5 for k in range(n)}
         value = {**element, "items": [element, {**element}]}
-        frame = serialize(value, plan)
-        assert bytes(frame.payload) == reference_frame(reg, "t/M", value)
-        decoded = deserialize(frame, plan)
-        assert decoded == value
-        assert list(decoded) == list(value)
-        assert all(list(item) == list(element) for item in decoded["items"])
+        nested = {**value, "one": {**element}, "two": [{**element}, element]}
+        for root, v in [("t/M", value), ("t/N", nested)]:
+            plan = flatten(reg, root)
+            frame = serialize(v, plan)
+            assert bytes(frame.payload) == reference_frame(reg, root, v)
+            decoded = deserialize(frame, plan)
+            assert decoded == v
+            assert list(decoded) == list(v)
+            inner = decoded["items"] + ([decoded["one"], *decoded["two"]] if v is nested else [])
+            assert all(list(item) == list(element) for item in inner)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10**9))
@@ -535,6 +540,65 @@ class TestRoundTrip:
         value = random_value(rng, registry, root)
         frame = serialize(value, plan)
         assert len(frame.payload) == (plan.fixed_size_bytes + 3) // 4 * 4
+
+
+class TestEmptyNestedType:
+    """A nested type with no fields has no slots, but its fields stay in the value."""
+
+    @pytest.fixture(scope="class")
+    def registry(self):
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("", "t/Empty"))
+        reg.register(parse_msg_file("int32 a\nEmpty e\nEmpty[2] f\nEmpty[<=3] g", "t/M"))
+        reg.register(parse_msg_file("M[] items\nuint8 tail", "t/G"))
+        return reg.resolve()
+
+    @staticmethod
+    def value(root: str) -> dict:
+        m = {"a": 1, "e": {}, "f": [{}, {}], "g": [{}, {}, {}]}
+        return m if root == "t/M" else {"items": [{**m, "g": []}, m], "tail": 7}
+
+    # each of M's fields of the empty type, at the top level and in a group element
+    WHERE = pytest.mark.parametrize(
+        "root, prefix", [("t/M", ""), ("t/G", "items[1].")], ids=["top", "in-group"]
+    )
+
+    @WHERE
+    def test_round_trip(self, registry, root, prefix):
+        plan = flatten(registry, root)
+        value = self.value(root)
+        frame = serialize(value, plan)
+        assert bytes(frame.payload) == reference_frame(registry, root, value)
+        assert deserialize(frame, plan) == value
+        assert deserialize_segments(serialize_segments(value, plan), plan) == value
+
+    @WHERE
+    @pytest.mark.parametrize("key, mistyped", [
+        ("e", "expected nested value"), ("f", "expected a sequence"), ("g", "expected a sequence"),
+    ], ids=["scalar", "fixed", "bounded"])
+    def test_missing_or_mistyped_field(self, registry, root, prefix, key, mistyped):
+        plan = flatten(registry, root)
+        for change, reason in [(None, "missing field"), (5, mistyped)]:
+            value = self.value(root)
+            where = value["items"][1] if prefix else value
+            if change is None:
+                del where[key]
+            else:
+                where[key] = change
+            with pytest.raises(SerializationError) as err:
+                serialize(value, plan)
+            assert str(err.value) == f"{prefix}{key}: {reason}"
+            assert conforms_to(value, registry.get(root), registry) == (False, prefix + key)
+
+    def test_unbounded_group_count_is_bounded(self, registry):
+        # nothing else limits how many values a frame's count makes
+        reg = TypeRegistry([registry.get("t/Empty"), parse_msg_file("Empty[] g", "t/U")])
+        plan = flatten(reg.resolve(), "t/U")
+        with pytest.raises(DeserializationError, match="^g: count 131072 exceeds bound 65535$"):
+            deserialize(Frame(struct.pack("<I", 1 << 17)), plan)
+        with pytest.raises(SerializationError, match="at most 65535 elements, got 65536"):
+            serialize({"g": [{}] * 65536}, plan)
+        assert deserialize(serialize({"g": [{}] * 65535}, plan), plan) == {"g": [{}] * 65535}
 
 
 # Views from 7 bytes, the least ``append_view`` takes, so that the short
