@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import math
 import threading
-import time
 from dataclasses import dataclass, field
 
 from .baseline import BaselineTopic
@@ -175,10 +174,6 @@ def parse_size(token: str) -> int:
     if token.endswith("k"):
         return int(token[:-1]) * 1024
     return int(token)
-
-
-def _yield() -> None:
-    time.sleep(0)
 
 
 # -- transfer ---------------------------------------------------------------

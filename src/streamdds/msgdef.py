@@ -446,11 +446,27 @@ def _expand(registry: TypeRegistry, type_name: str, prefix: str) -> list[Slot]:
                 slots.extend(_expand(registry, f.type_name, f"{path}[{i}]."))
         else:
             element = tuple(_expand(registry, f.type_name, ""))
-            arity = f.arity
-            if not element:  # only a bound limits the count of values with no bytes
-                arity = Arity.bounded(min(arity.size or NO_BYTES_BOUND, NO_BYTES_BOUND))
-            slots.append(GroupSlot(path, arity, element, f.type_name))
+            slots.append(GroupSlot(path, array_arity(registry, f), element, f.type_name))
     return slots
+
+
+def array_arity(registry: TypeRegistry, f: FieldDef) -> Arity:
+    """The arity a value of field ``f`` is held to.
+
+    That is ``f.arity``, except for a dynamic array of a type with no bytes
+    on the wire: only a bound limits its count, so it is bounded at
+    ``NO_BYTES_BOUND``, or at its own bound if that is lower.
+    """
+    if f.is_primitive or not f.arity.is_dynamic or _has_bytes(registry, f.type_name):
+        return f.arity
+    return Arity.bounded(min(f.arity.size or NO_BYTES_BOUND, NO_BYTES_BOUND))
+
+
+def _has_bytes(registry: TypeRegistry, type_name: str) -> bool:
+    return any(
+        f.is_primitive or f.arity.is_dynamic or _has_bytes(registry, f.type_name)
+        for f in registry.get(type_name).fields
+    )
 
 
 def flatten(registry: TypeRegistry, type_name: str) -> SerializationPlan:

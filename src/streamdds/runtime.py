@@ -3,9 +3,11 @@
 Every topic becomes one bounded word-stream channel per subscriber port,
 and its publisher ports write straight into them.  The compiled arbiter and
 broadcaster run in the publishing thread: a publisher on a topic with
-several subscribers writes each chunk to every subscriber channel once all
-of them can take it whole (the broadcaster, paced by its slowest consumer),
-and the publishers of a topic with several publishers share a frame token,
+several subscribers offers its frame to every subscriber channel in turn,
+each taking what fits, and returns once all of them have taken it whole
+(the broadcaster, paced per frame by its slowest consumer; within a frame
+a channel with room is not held back by a full one), and the publishers
+of a topic with several publishers share a frame token,
 held from a frame's first word to its end-of-message marker (the arbiter:
 whole frames, round-robin under contention).  A topic with publishers but
 no subscriber keeps one unread channel, so reliable publishers block once it
@@ -208,6 +210,8 @@ class StreamChannel:
     hands each piece straight to the receiver, with no capacity limit, and
     at the end-of-message marker it hands the receiver the completed frame,
     unparks it and sets its waker.  ``unpark`` collects that frame, if any.
+    ``write_some`` is the only way in, so a parked receiver is handed every
+    frame, whichever publish sent it.
     """
 
     __slots__ = (
@@ -295,36 +299,6 @@ class StreamChannel:
             if self.reader_waker is not None:
                 self.reader_waker.set()
             return take
-
-    def try_write_frame(self, *segments, meta: FrameMeta | None = None) -> bool:
-        """All-or-nothing enqueue of one whole frame, given as its segments.
-
-        Each segment must be a whole number of words; the marker (and
-        ``meta``) attach to the last.  A parked receiver is unparked, to
-        read the frame from the channel.
-        """
-        need = sum(map(len, segments)) // 4
-        with self._lock:
-            if self._closed:
-                raise ShutdownError(f"channel {self.name} is closed")
-            if self.capacity_words - self._words < need:
-                return False
-            if meta is not None:
-                now = self._clock()
-                if meta.t_first_sent is None:
-                    meta.t_first_sent = now
-                if meta.t_last_sent is None:
-                    meta.t_last_sent = now
-            *body, tail = segments
-            for segment in body:
-                self._chunks.append((segment, False, None))
-            self._chunks.append((tail, True, meta))
-            self._words += need
-            self._frames += 1
-            self.receiver = None
-            if self.reader_waker is not None:
-                self.reader_waker.set()
-            return True
 
     # -- consumer side ----------------------------------------------------
 
@@ -517,8 +491,11 @@ class PortHandle:
     Publishing hands ``bytes`` to the channels by reference (a ``uint8``
     array value from ``serde.VIEW_MIN_BYTES``, or a word-aligned
     ``write_chunk``); other buffers are copied, since the caller may change
-    them once the call returns.  A
-    blocked port parks on its ``waker``, a bare lock.
+    them once the call returns.  All three publishing calls write through
+    one loop over ``channels`` (``_write``): within a frame a channel with
+    room is not held back by a full sibling, and a call returns once every
+    channel has taken all it was given.  A blocked port parks on its
+    ``waker``, a bare lock.
 
     ``channels`` are the channels the port moves words through: a
     subscriber's own FIFO, or every threaded subscriber FIFO of a
@@ -622,63 +599,53 @@ class PortHandle:
     def _push(self, segments, last: bool, meta: FrameMeta) -> None:
         """Blocking write of ``segments`` in order.
 
-        With ``last`` the final segment also pushes the marker.
+        With ``last`` the final segment also pushes the marker, and the
+        frame becomes ``last_times``.
         """
-        write = self._broadcast if len(self.channels) > 1 else self._write
         *body, tail = segments
         for segment in body:
-            write(segment, False, meta)
-        write(tail, last, meta)
+            self._write(segment, False, meta)
+        self._write(tail, last, meta)
+        if last:
+            self.last_times = FrameTimes(
+                meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
+            )
 
     def _write(self, payload, last: bool, meta: FrameMeta) -> None:
-        """Blocking write of ``payload`` to the one channel."""
-        mv = memoryview(payload)
-        offset = 0
-        total = len(payload)
+        """Blocking write of ``payload`` to every channel.
 
-        def done() -> bool:
-            return offset >= total and (not last or meta.t_last_sent is not None)
-
-        while True:
-            offset += 4 * self.channel.write_some(mv[offset:], last, meta)
-            if done():
-                return
-            self.waker.clear()
-            before = offset
-            offset += 4 * self.channel.write_some(mv[offset:], last, meta)
-            if done():
-                return
-            if offset == before:
-                self.waker.wait()
-
-    def _broadcast(self, payload, last: bool, meta: FrameMeta) -> None:
-        """``_write`` to every channel, each chunk once all can take it whole.
-
-        This port is the channels' only writer, so their free space can only
-        grow between the check and the writes.
+        Each pass offers each channel what it has not taken yet: it takes
+        what fits, a parked reader all of it, and a zero-word marker always.
+        A channel that has taken everything leaves the loop.  The port waits
+        only after a pass that moved no word on any channel, so a channel
+        with room is never held back by a full sibling, and the call
+        returns once every channel has taken the whole payload.
         """
         mv = memoryview(payload)
-        offset = 0
-        total = len(payload)
+        total = len(mv)
+        todo = [(ch, 0) for ch in self.channels]
+        cleared = False  # the waker was cleared before this pass
         while True:
-            room = min(ch.free_words() for ch in self.channels)
-            if room == 0 and offset < total:
-                self.waker.clear()
-                if min(ch.free_words() for ch in self.channels) == 0:
-                    self.waker.wait()
-                continue
-            end = min(total, offset + 4 * room)
-            piece = mv[offset:end]
-            final = last and end == total
-            for ch in self.channels:
-                accepted = ch.write_some(piece, final, meta)
-                assert accepted * 4 == len(piece), "a checked chunk must fit whole"
-            offset = end
-            if offset == total:
+            moved, left = 0, []
+            for ch, offset in todo:
+                took = ch.write_some(mv[offset:], last, meta)
+                moved += took
+                if offset + 4 * took < total:
+                    left.append((ch, offset + 4 * took))
+            if not left:
                 return
+            todo = left
+            if moved:
+                cleared = False
+            elif cleared:
+                self.waker.wait()
+                cleared = False
+            else:
+                self.waker.clear()
+                cleared = True
 
     def publish_blocking(self, value: MessageValue) -> None:
-        """Send one message; returns after the last word is accepted downstream.
+        """Send one message; returns after every channel accepted its last word.
 
         Then each fused subscriber receives the frame by call, and its node
         runs, publishes included, before this returns.
@@ -686,26 +653,25 @@ class PortHandle:
         self._require(PUB)
         segments = serialize_segments(value, self.plan)
         meta = self._new_meta()
-        if self.channels:
-            self._take_token()
-            try:
-                self._push(segments, True, meta)
-            finally:
-                self._give_token()
-        else:
+        if not self.channels:  # every subscriber is fused
             meta.t_first_sent = meta.t_last_sent = self._clock()
-        self.last_times = FrameTimes(
-            meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
-        )
+        self._take_token()
+        try:
+            self._push(segments, True, meta)
+        finally:
+            self._give_token()
         for sub in self.fused:
             sub.deliver(segments, meta)
 
     def publish_try(self, value: MessageValue) -> bool:
-        """Send only if the whole frame fits downstream right now.
+        """Send only if the whole frame fits in every channel right now.
 
         Returns False without sending while another publisher of the topic
-        is mid-frame.  Raises ValueError on a topic with fused subscribers,
-        whose nodes would run, and may block, inside this call.
+        is mid-frame.  A frame that fits is written like any other, to a
+        parked reader too, and never waits: this port is the channels' only
+        writer, so their free space can only grow.  Raises ValueError on a
+        topic with fused subscribers, whose nodes would run, and may block,
+        inside this call.
         """
         self._require(PUB)
         self._require_unfused("publish_try")
@@ -716,15 +682,9 @@ class PortHandle:
             need = sum(map(len, segments)) // 4
             if any(ch.free_words() < need for ch in self.channels):
                 return False
-            meta = self._new_meta()
-            for ch in self.channels:
-                accepted = ch.try_write_frame(*segments, meta=meta)
-                assert accepted, "a checked frame must fit whole"
+            self._push(segments, True, self._new_meta())
         finally:
             self._give_token()
-        self.last_times = FrameTimes(
-            meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
-        )
         return True
 
     def write_chunk(self, data, last: bool = False) -> None:
@@ -766,9 +726,6 @@ class PortHandle:
             raise
         if last:
             self._give_token()
-            self.last_times = FrameTimes(
-                meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
-            )
 
     # -- subscriber -------------------------------------------------------
 

@@ -66,6 +66,7 @@ from .msgdef import (
     PlanSlot,
     SerializationPlan,
     TypeRegistry,
+    array_arity,
 )
 
 _STRUCT_CODE = {
@@ -863,7 +864,7 @@ def conforms_to(
                 n = len(fv)
             else:
                 return fpath
-            if _count_error(f.arity, n, fpath) is not None:
+            if _count_error(array_arity(registry, f), n, fpath) is not None:
                 return fpath
             if isinstance(fv, (bytes, bytearray)):
                 continue

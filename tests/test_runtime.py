@@ -102,12 +102,6 @@ class TestStreamChannel:
         assert ch.write_some(b"", True) == 0
         assert ch.frames_buffered() == 1
 
-    def test_try_write_frame_all_or_nothing(self):
-        ch = StreamChannel(3)
-        assert ch.try_write_frame(bytes(12))
-        assert not ch.try_write_frame(bytes(4))
-        assert ch.buffered_words() == 3
-
     def test_closed_channel_raises(self):
         ch = StreamChannel(4)
         ch.close()
@@ -632,7 +626,8 @@ class TestDirectDelivery:
             )
             reader.start()
             wait_parked(sub)
-            assert pub.publish_try({"data": b"fits"})  # queued: the reader is unparked
+            assert pub.publish_try({"data": b"fits"})  # handed to the parked reader
+            assert sub.channel.buffered_words() == 0
             pub.publish_blocking({"data": bytes(400)})
             join_all([reader])
         assert got == [b"fits", bytes(400)]
@@ -844,7 +839,10 @@ class TestTakeByReference:
         assert joined == [] and waker.wakes == len(payloads)
 
     @pytest.mark.parametrize("capacity", [16, VIEW_MIN_BYTES // 4 + 1], ids=["chunked", "whole"])
-    def test_two_parked_subscribers_of_a_broadcast_get_equal_values(self, registry, capacity):
+    def test_two_parked_subscribers_of_a_broadcast_get_equal_values(
+        self, registry, capacity, monkeypatch
+    ):
+        joined = self.count_joined(monkeypatch)
         cfg = self.BLOB + "node c\n sub T demo/Blob\n"
         inst = build(cfg, registry, {n: EXTERNAL for n in "abc"},
                      default_capacity_words=capacity)
@@ -858,6 +856,8 @@ class TestTakeByReference:
             join_all([reader for reader, _, _ in takes])
         (_, got_b, _), (_, got_c, _) = takes
         assert got_b == got_c == [{"data": payload}]
+        assert got_b[0]["data"] is payload and got_c[0]["data"] is payload
+        assert joined == []
 
     def test_bytearray_payload_changed_after_the_publish_arrives_unchanged(self, registry):
         inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
@@ -1194,6 +1194,52 @@ class TestBroadcaster:
             stop.set()
             inst.shutdown()
             join_all([sender, drainer])
+
+    # b and c each buffer one frame
+    TWO_FIFOS = (
+        "node p\n pub T demo/Img\n"
+        "node b\n sub T demo/Img fifo=1\nnode c\n sub T demo/Img fifo=1\n"
+    )
+
+    def test_a_channel_with_room_is_not_held_back_by_a_full_sibling(self, registry):
+        inst = build(self.TWO_FIFOS, registry, {n: EXTERNAL for n in ("p", "b", "c")})
+        with inst, watchdog(inst):
+            pub = inst.publisher("p", "T")
+            b, c = inst.subscriber("b", "T"), inst.subscriber("c", "T")
+            pub.publish_blocking(img(0, 0))
+            assert c.take_blocking() == img(0, 0)  # b's FIFO stays full
+            sender = threading.Thread(target=lambda: pub.publish_blocking(img(0, 1)))
+            sender.start()
+            # c takes the whole next frame while the publish still waits for b
+            assert c.take_blocking() == img(0, 1)
+            assert sender.is_alive()
+            assert [b.take_blocking(), b.take_blocking()] == [img(0, 0), img(0, 1)]
+            join_all([sender])
+
+    def test_space_freed_as_the_publisher_clears_its_waker_is_not_lost(self, registry):
+        # Staged: as the publisher clears its waker, b's reader frees b's
+        # full FIFO and sets that waker, and the clear wipes the wake-up.
+        # The publisher must see the room when it looks again after the
+        # clear, instead of waiting for a wake-up that never comes.
+        class RacingWaker(Waker):
+            def clear(self):
+                if staged:
+                    staged.pop().take_try()
+                super().clear()
+
+        inst = build(self.TWO_FIFOS, registry, {n: EXTERNAL for n in ("p", "b", "c")})
+        with inst, watchdog(inst):
+            pub = inst.publisher("p", "T")
+            b, c = inst.subscriber("b", "T"), inst.subscriber("c", "T")
+            pub.publish_blocking(img(0, 0))
+            assert c.take_try() == img(0, 0)  # b's FIFO stays full
+            staged = [b]
+            pub.waker = RacingWaker()
+            for ch in pub.channels:
+                ch.writer_waker = pub.waker
+            pub.publish_blocking(img(0, 1))
+            assert staged == []
+            assert [b.take_try(), c.take_try()] == [img(0, 1)] * 2
 
 
 class TestNodesAndModes:

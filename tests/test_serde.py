@@ -592,13 +592,17 @@ class TestEmptyNestedType:
 
     def test_unbounded_group_count_is_bounded(self, registry):
         # nothing else limits how many values a frame's count makes
-        reg = TypeRegistry([registry.get("t/Empty"), parse_msg_file("Empty[] g", "t/U")])
-        plan = flatten(reg.resolve(), "t/U")
-        with pytest.raises(DeserializationError, match="^g: count 131072 exceeds bound 65535$"):
-            deserialize(Frame(struct.pack("<I", 1 << 17)), plan)
-        with pytest.raises(SerializationError, match="at most 65535 elements, got 65536"):
-            serialize({"g": [{}] * 65536}, plan)
-        assert deserialize(serialize({"g": [{}] * 65535}, plan), plan) == {"g": [{}] * 65535}
+        for declared, n in [("Empty[] g", 65536), ("Empty[<=70000] g", 70000)]:
+            reg = TypeRegistry([registry.get("t/Empty"), parse_msg_file(declared, "t/U")])
+            plan = flatten(reg.resolve(), "t/U")
+            with pytest.raises(DeserializationError, match="^g: count 131072 exceeds bound 65535$"):
+                deserialize(Frame(struct.pack("<I", 1 << 17)), plan)
+            with pytest.raises(SerializationError, match=f"at most 65535 elements, got {n}"):
+                serialize({"g": [{}] * n}, plan)
+            assert conforms_to({"g": [{}] * n}, reg.get("t/U"), reg) == (False, "g")
+            value = {"g": [{}] * 65535}
+            assert deserialize(serialize(value, plan), plan) == value
+            assert conforms_to(value, reg.get("t/U"), reg) == (True, None)
 
 
 # Views from 7 bytes, the least ``append_view`` takes, so that the short
