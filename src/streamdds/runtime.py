@@ -36,10 +36,13 @@ the publisher's object, or that object joined with its unaligned edge
 bytes in one copy.  A frame read from the channel instead, by a subscriber
 that found it holding something, by ``take_try`` or by ``read_chunk``, is
 copied into the port's reassembly buffer and decoded from there, and the
-codec copies byte arrays out of it; so is the rest of a frame that started
-there before its port parked, or whose park ended before its marker.  At
-most one frame per park bypasses the channel; after it, the channel's
-capacity and backpressure apply as before.
+codec copies byte arrays out of it; so is the rest of a frame whose park
+ended before its marker.  A frame that started in the buffer before its
+port parked goes on there until the writer hands the port a piece of such
+a ``bytes`` payload: the port holds that piece and the rest of the frame by
+reference, and decodes the buffer's bytes followed by them, joining the
+payload in one copy.  At most one frame per park bypasses the channel;
+after it, the channel's capacity and backpressure apply as before.
 
 Delivery follows keep-all/reliable semantics throughout: a full buffer
 blocks the writer and nothing is dropped.  Blocking operations park on a
@@ -78,7 +81,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .msgdef import SerializationPlan
-from .serde import MessageValue, deserialize_segments, serialize_segments
+from .serde import MessageValue, _is_view, deserialize_segments, serialize_segments
 from .topology import PUB, SUB, TopologyGraph
 
 Clock = Callable[[], int]
@@ -181,7 +184,9 @@ class FrameTimes:
     read from its channel, when they landed in the port's reassembly
     buffer; for a frame a writer handed to a parked reader by reference,
     when its first and last pieces were handed over, and the reader wakes
-    after ``t_last_recv``; for a fused subscriber, both are when the
+    after ``t_last_recv``; for a frame that started in the buffer and
+    finished parked, when its first word landed in the buffer and when its
+    last piece was handed over; for a fused subscriber, both are when the
     publisher handed it the frame's segments.
     """
 
@@ -485,8 +490,12 @@ class PortHandle:
     complete; the port stamps, traces and decodes it from those pieces in
     its own thread.  A wake-up before then unparks the port: the pieces it
     holds are copied into its reassembly buffer, and the rest of the frame
-    arrives through the channel or in a later park.  ``take_try`` and
-    ``read_chunk`` never park.
+    arrives through the channel or in a later park.  A frame whose head the
+    port read from the channel before it parked is copied on into the
+    buffer until a writer hands over a piece of a ``bytes`` payload sent by
+    reference; that piece and the rest are held, and the frame decodes from
+    the buffer's bytes followed by them.  ``take_try`` and ``read_chunk``
+    never park.
 
     Publishing hands ``bytes`` to the channels by reference (a ``uint8``
     array value from ``serde.VIEW_MIN_BYTES``, or a word-aligned
@@ -779,18 +788,25 @@ class PortHandle:
         """Keep a chunk a writer hands this parked port, by reference.
 
         Returns as ``_absorb`` does.  A frame that started in the
-        reassembly buffer goes on there, with a copy.
+        reassembly buffer goes on there, with a copy, until it is handed a
+        piece of a ``bytes`` payload sent by reference (``serde._is_view``);
+        that piece and the rest of the frame are held, and follow the
+        buffer's bytes among the frame's pieces.
         """
         held = self._held
         if held is None:
-            if self._rx_first_t is not None:
+            if self._rx_first_t is None:
+                self._rx_first_t = self._clock()
+            elif not _is_view(data):
                 return self._absorb(data, last, meta)
-            self._rx_first_t = self._clock()
             held = self._held = []
         held.append(data)
         if not last:
             return None
         self._held = None
+        if self._rx_len:
+            held.insert(0, self._rx.view[: self._rx_len])
+            self._rx_len = 0
         done = (held, meta, self._rx_first_t, self._clock())
         self._rx_first_t = None
         return done

@@ -19,12 +19,15 @@ frame and the caller may then change them.  ``serialize`` joins the
 segments into one contiguous frame.
 
 ``deserialize_segments`` is the inverse, and runs the same decoder.  It
-decodes a one-segment frame in place.  A segment that views a ``bytes``
-object as ``serialize_segments`` emits it becomes the value of the ``uint8``
-array it lines up with: the caller's object itself when the array has no
-unaligned first or last bytes, else those bytes and the view joined in one
-copy.  Any other layout, and any frame that does not decode, is decoded
-joined, so its errors read exactly as ``deserialize``'s.
+decodes a one-segment frame in place.  Segments that view a ``bytes``
+object of at least ``VIEW_MIN_BYTES`` (the view ``serialize_segments``
+emits, or slices of it, as a bounded channel cuts them) and follow one
+another with no other segment between them become the value of the
+``uint8`` array they line up with: the array's bytes before, among and
+after them, joined in one copy.  Only one view that covers the whole object
+and the whole array returns the caller's object itself.  Any other layout,
+and any frame that does not decode, is decoded joined, so its errors read
+exactly as ``deserialize``'s.
 
 ``flatten`` compiles every plan it makes into a ``Codec``, so the work is
 done once, when a topology is built; ``serialize`` and ``deserialize`` only
@@ -214,20 +217,16 @@ def deserialize_segments(segments, plan: SerializationPlan) -> MessageValue:
 
 
 def _is_view(segment) -> bool:
-    """Whether ``segment`` is a view ``_Out.append_view`` could have made.
+    """Whether ``segment`` may be part of a ``bytes`` value published by reference.
 
     That is, a whole number of words viewing a ``bytes`` object of at least
-    ``VIEW_MIN_BYTES``, all of it but at most six bytes at its two ends.
+    ``VIEW_MIN_BYTES``: a view ``_Out.append_view`` made, or any slice of
+    one, as a bounded channel cuts it.
     """
     if segment.__class__ is not memoryview:
         return False
     obj = segment.obj
-    return (
-        obj.__class__ is bytes
-        and len(obj) >= VIEW_MIN_BYTES
-        and len(obj) - len(segment) <= 6
-        and len(segment) % 4 == 0
-    )
+    return obj.__class__ is bytes and len(obj) >= VIEW_MIN_BYTES and len(segment) % 4 == 0
 
 
 def _deserialize(codec: Codec, buf: memoryview, views) -> MessageValue:
@@ -548,7 +547,8 @@ def _decode(codec: Codec, n: int, buf: memoryview, pos: int, path: str | None, v
 
     ``views``, when given, are view segments cut out of the frame, in
     reverse frame order, each with the position in ``buf`` it was cut from.
-    A ``uint8`` array whose bytes span the last of them takes it (see
+    A ``uint8`` array whose bytes span the last of them takes it, and the
+    views cut from the same position after it that still fit (see
     ``_dec_array``).  Positions only grow, so a view that some other read
     steps over is never taken.  If ``views`` is empty afterwards, every read
     saw the bytes the joined frame has there; if not, the result is wrong
@@ -611,8 +611,12 @@ def _regroup(shape, values) -> list:
 def _dec_array(slot: PlanSlot, bound: int, buf: memoryview, pos: int, leaves, views) -> int:
     """Decode an array slot; a dynamic array's count is ``leaves[-1]``.
 
-    A ``uint8`` array spanning the next of ``views`` takes it: the view is
-    its middle, and only the bytes before and after it come from ``buf``.
+    A ``uint8`` array spanning the next of ``views`` takes it, and every
+    further view cut from the same position that still fits in the array:
+    in frame order they are its middle, and only the bytes before and after
+    them come from ``buf``.  The value joins those pieces in one copy, or is
+    the viewed object itself when a single view covers both that whole
+    object and the whole array.
     """
     path, primitive = slot.path, slot.primitive
     if slot.arity.kind == Arity.FIXED:
@@ -641,15 +645,18 @@ def _dec_array(slot: PlanSlot, bound: int, buf: memoryview, pos: int, leaves, vi
         leaves.append(items)
         return pos
     stop = pos + n * PRIMITIVE_WIDTHS[primitive]
-    view = None
-    if views and primitive == "uint8" and pos <= views[-1][0] <= stop - len(views[-1][1]):
-        at, view = views.pop()
-        stop -= len(view)
+    taken = []
+    if views and primitive == "uint8":
+        at = views[-1][0]
+        while views and views[-1][0] == at and pos <= at <= stop - len(views[-1][1]):
+            taken.append(views.pop()[1])
+            stop -= len(taken[-1])
     if stop > len(buf):
         raise _truncated(stop - pos, path, buf, pos)
-    if view is not None:
-        whole = stop == pos and len(view) == len(view.obj)
-        leaves.append(view.obj if whole else b"".join((buf[pos:at], view, buf[at:stop])))
+    if taken:
+        view = taken[0]
+        whole = stop == pos and len(taken) == 1 and len(view) == len(view.obj)
+        leaves.append(view.obj if whole else b"".join((buf[pos:at], *taken, buf[at:stop])))
     elif primitive == "uint8":
         leaves.append(bytes(buf[pos:stop]))
     else:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 import struct
 
+from streamdds import serde
 from streamdds.msgdef import (
     PRIMITIVE_WIDTHS,
     Arity,
@@ -211,3 +212,16 @@ def two_pass_stats(samples):
 
     a = np.asarray(samples, dtype=np.float64)
     return float(a.mean()), float(a.std())
+
+
+def count_joined(monkeypatch) -> list:
+    """Record the length of each frame decoded joined or from one piece."""
+    sizes = []
+    decode = serde.deserialize
+
+    def counted(frame, plan):
+        sizes.append(len(frame.payload))
+        return decode(frame, plan)
+
+    monkeypatch.setattr(serde, "deserialize", counted)
+    return sizes

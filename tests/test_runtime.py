@@ -18,6 +18,7 @@ from streamdds.runtime import (
     FrameMeta,
     GrowBuffer,
     NodeKernel,
+    PortHandle,
     RuntimeBuildError,
     RuntimeConfig,
     ShutdownError,
@@ -28,7 +29,7 @@ from streamdds.runtime import (
 )
 from streamdds.topology import AppSpec, NodeSpec, PortSpec, build_topology, parse_config
 
-from support import reference_frame
+from support import count_joined, reference_frame
 
 
 def build(cfg: str, registry, kernels, **config_kw):
@@ -793,19 +794,6 @@ class TestTakeByReference:
         return reg.resolve()
 
     @staticmethod
-    def count_joined(monkeypatch) -> list:
-        """Record the length of each frame decoded joined or from one piece."""
-        sizes = []
-        decode = serde.deserialize
-
-        def counted(frame, plan):
-            sizes.append(len(frame.payload))
-            return decode(frame, plan)
-
-        monkeypatch.setattr(serde, "deserialize", counted)
-        return sizes
-
-    @staticmethod
     def take_in_thread(sub, n: int = 1):
         """Start a thread taking ``n`` values from ``sub``; returns (thread, values, errors)."""
         out, errors = [], []
@@ -822,7 +810,7 @@ class TestTakeByReference:
         return reader, out, errors
 
     def test_parked_reader_gets_the_published_object(self, registry, monkeypatch):
-        joined = self.count_joined(monkeypatch)
+        joined = count_joined(monkeypatch)
         inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
                      default_capacity_words=16)
         payloads = [random.Random(k).randbytes(VIEW_MIN_BYTES + 4 * k) for k in range(3)]
@@ -842,7 +830,7 @@ class TestTakeByReference:
     def test_two_parked_subscribers_of_a_broadcast_get_equal_values(
         self, registry, capacity, monkeypatch
     ):
-        joined = self.count_joined(monkeypatch)
+        joined = count_joined(monkeypatch)
         cfg = self.BLOB + "node c\n sub T demo/Blob\n"
         inst = build(cfg, registry, {n: EXTERNAL for n in "abc"},
                      default_capacity_words=capacity)
@@ -876,7 +864,7 @@ class TestTakeByReference:
         assert out == [{"data": original}]
 
     def test_payload_after_an_odd_length_string_round_trips(self, named, monkeypatch):
-        joined = self.count_joined(monkeypatch)
+        joined = count_joined(monkeypatch)
         inst = build(self.NAMED, named, {"a": EXTERNAL, "b": EXTERNAL},
                      default_capacity_words=16)
         payload = random.Random(7).randbytes(VIEW_MIN_BYTES + 3)
@@ -895,7 +883,7 @@ class TestTakeByReference:
     def test_write_chunk_pieces_that_line_up_with_no_array_are_decoded_joined(
         self, registry, monkeypatch
     ):
-        joined = self.count_joined(monkeypatch)
+        joined = count_joined(monkeypatch)
         inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
                      default_capacity_words=16)
         payload = random.Random(8).randbytes(2 * VIEW_MIN_BYTES)
@@ -1008,6 +996,80 @@ class TestTakeByReference:
             sender.start()  # the rest queues in the channel behind the held half
             assert sub.take_blocking() == {"data": cut}
             join_all([sender])
+
+    @staticmethod
+    def take_after_the_head(inst, value, monkeypatch):
+        """Take ``value`` whose head was read from the channel before the port parked.
+
+        A publisher thread fills the channel, then ``take_blocking`` reads
+        what it holds and parks for the rest.
+        """
+        pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+        handed = []
+        hold = PortHandle._hold
+
+        def counted(port, data, last, meta):
+            handed.append(len(data))
+            return hold(port, data, last, meta)
+
+        monkeypatch.setattr(PortHandle, "_hold", counted)
+        sender = threading.Thread(target=pub.publish_blocking, args=(value,))
+        sender.start()
+        deadline = time.monotonic() + DEADLINE_S
+        while sub.channel.free_words():
+            assert time.monotonic() < deadline, "the publisher never filled the channel"
+            time.sleep(0.0002)
+        got = sub.take_blocking()
+        join_all([sender])
+        assert handed, "the port never parked"
+        return got
+
+    def test_rest_of_a_bytes_payload_is_held_after_the_head(self, registry, monkeypatch):
+        joined = count_joined(monkeypatch)
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        payload = random.Random(12).randbytes(VIEW_MIN_BYTES)
+        with inst, watchdog(inst):
+            got = self.take_after_the_head(inst, {"data": payload}, monkeypatch)
+        assert got == {"data": payload} and got["data"] is not payload
+        assert joined == []
+
+    @pytest.mark.parametrize(
+        "kind, size",
+        [(bytearray, VIEW_MIN_BYTES), (bytes, VIEW_MIN_BYTES // 4)],
+        ids=["bytearray", "256KiB"],
+    )
+    def test_a_payload_not_sent_by_reference_finishes_in_the_buffer(
+        self, registry, kind, size, monkeypatch
+    ):
+        joined = count_joined(monkeypatch)
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        payload = kind(random.Random(13).randbytes(size))
+        with inst, watchdog(inst):
+            sub = inst.subscriber("b", "T")
+            frame = bytes(serialize({"data": payload}, sub.plan).payload)
+            got = self.take_after_the_head(inst, {"data": payload}, monkeypatch)
+        assert got == {"data": payload}
+        assert joined == [len(frame)]
+        assert bytes(sub._rx.view[: len(frame)]) == frame
+
+    def test_unaligned_payload_split_between_the_buffer_and_held_pieces(
+        self, named, monkeypatch
+    ):
+        joined = count_joined(monkeypatch)
+        inst = build(self.NAMED, named, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        payload = random.Random(15).randbytes(VIEW_MIN_BYTES + 3)
+        value = {"name": "abc", "data": payload, "tail": 513}
+        with inst, watchdog(inst):
+            head, view, tail = serialize_segments(value, inst.subscriber("b", "T").plan)
+            # the payload's first byte ends the head, which the port reads from
+            # the channel; its last bytes open the tail, which the port holds
+            assert view.obj is payload and len(head) < 16 * 4
+            assert head[-1:] == payload[:1] and tail[:2] == payload[-2:]
+            got = self.take_after_the_head(inst, value, monkeypatch)
+        assert got == value and joined == []
 
 
 class TestArbiter:

@@ -20,7 +20,13 @@ from streamdds.serde import (
     serialize_segments,
 )
 
-from support import mutate_value, random_registry, random_value, reference_frame
+from support import (
+    count_joined,
+    mutate_value,
+    random_registry,
+    random_value,
+    reference_frame,
+)
 
 
 def plan_for(src: str, name: str = "t/M"):
@@ -737,6 +743,37 @@ class TestDeserializeSegments:
         pieces = [memoryview(s) for s in segments]  # as a channel hands them over
         assert deserialize_segments(pieces, plan) == {"seq": 1, "data": data}
         assert deserialize_segments(pieces, plan)["data"] is data
+        # cut into slices, the same bytes are joined into a new object
+        head, view = pieces
+        got = deserialize_segments([head, view[:4096], view[4096:]], plan)
+        assert got == {"seq": 1, "data": data} and got["data"] is not data
+
+    @pytest.mark.parametrize("name", ["", "abc"])
+    @pytest.mark.parametrize("cuts", [(8,), (4096, 4100, VIEW_MIN_BYTES // 2)])
+    def test_consecutive_slices_of_a_view_line_up_with_its_array(self, name, cuts, monkeypatch):
+        joined = count_joined(monkeypatch)
+        _, plan = plan_for(TestSegments.SRC)
+        data = random.Random(1).randbytes(VIEW_MIN_BYTES + len(name))
+        value = {"name": name, "data": data, "tail": 9}
+        head, view, tail = serialize_segments(value, plan)
+        slices = [view[a:b] for a, b in zip([0, *cuts], [*cuts, len(view)])]
+        got = deserialize_segments([head, *slices, tail], plan)
+        assert got == deserialize(serialize(value, plan), plan) == value
+        assert joined == [] and got["data"] is not data
+
+    def test_slices_split_by_a_copied_piece_are_decoded_joined(self, monkeypatch):
+        # The middle piece holds payload bytes but is no view, so the slices
+        # after it do not sit where the ones before it do: lining them all up
+        # with the array would put the middle bytes after them.
+        joined = count_joined(monkeypatch)
+        _, plan = plan_for(TestSegments.SRC)
+        data = random.Random(2).randbytes(VIEW_MIN_BYTES + 3)
+        value = {"name": "ab", "data": data, "tail": 9}
+        head, view, tail = serialize_segments(value, plan)
+        a, b, c = 4096, 8192, 12288
+        pieces = [head, view[:a], view[a:b], bytes(view[b:c]), view[c:], tail]
+        assert deserialize_segments(pieces, plan) == value
+        assert joined == [len(b"".join(pieces))]
 
 
 class TestErrorContract:
