@@ -37,11 +37,10 @@ bytes in one copy.  A frame read from the channel instead, by a subscriber
 that found it holding something, by ``take_try`` or by ``read_chunk``, is
 copied into the port's reassembly buffer and decoded from there, and the
 codec copies byte arrays out of it; so is the rest of a frame whose park
-ended before its marker.  A frame that started in the buffer before its
-port parked goes on there until the writer hands the port a piece of such
-a ``bytes`` payload: the port holds that piece and the rest of the frame by
-reference, and decodes the buffer's bytes followed by them, joining the
-payload in one copy.  At most one frame per park bypasses the channel;
+ended before its marker.  The port holds the rest of a frame that started
+in the buffer before it parked by reference as well, and decodes the
+buffer's bytes followed by those pieces; so such a ``bytes`` payload is
+joined in one copy.  At most one frame per park bypasses the channel;
 after it, the channel's capacity and backpressure apply as before.
 
 Delivery follows keep-all/reliable semantics throughout: a full buffer
@@ -81,7 +80,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .msgdef import SerializationPlan
-from .serde import MessageValue, _is_view, deserialize_segments, serialize_segments
+from .serde import MessageValue, deserialize_segments, serialize_segments
 from .topology import PUB, SUB, TopologyGraph
 
 Clock = Callable[[], int]
@@ -490,12 +489,10 @@ class PortHandle:
     complete; the port stamps, traces and decodes it from those pieces in
     its own thread.  A wake-up before then unparks the port: the pieces it
     holds are copied into its reassembly buffer, and the rest of the frame
-    arrives through the channel or in a later park.  A frame whose head the
-    port read from the channel before it parked is copied on into the
-    buffer until a writer hands over a piece of a ``bytes`` payload sent by
-    reference; that piece and the rest are held, and the frame decodes from
-    the buffer's bytes followed by them.  ``take_try`` and ``read_chunk``
-    never park.
+    arrives through the channel or in a later park.  The rest of a frame
+    whose head the port read from the channel before it parked is held the
+    same way, and the frame decodes from the buffer's bytes followed by the
+    held pieces.  ``take_try`` and ``read_chunk`` never park.
 
     Publishing hands ``bytes`` to the channels by reference (a ``uint8``
     array value from ``serde.VIEW_MIN_BYTES``, or a word-aligned
@@ -787,19 +784,15 @@ class PortHandle:
     def _hold(self, data, last: bool, meta: FrameMeta | None):
         """Keep a chunk a writer hands this parked port, by reference.
 
-        Returns as ``_absorb`` does.  A frame that started in the
-        reassembly buffer goes on there, with a copy, until it is handed a
-        piece of a ``bytes`` payload sent by reference (``serde._is_view``);
-        that piece and the rest of the frame are held, and follow the
-        buffer's bytes among the frame's pieces.
+        Returns as ``_absorb`` does.  The bytes of a frame that started in
+        the reassembly buffer come first among the frame's pieces, followed
+        by the held ones.
         """
         held = self._held
         if held is None:
+            held = self._held = []
             if self._rx_first_t is None:
                 self._rx_first_t = self._clock()
-            elif not _is_view(data):
-                return self._absorb(data, last, meta)
-            held = self._held = []
         held.append(data)
         if not last:
             return None

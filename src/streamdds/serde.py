@@ -645,9 +645,9 @@ def _dec_array(slot: PlanSlot, bound: int, buf: memoryview, pos: int, leaves, vi
         leaves.append(items)
         return pos
     stop = pos + n * PRIMITIVE_WIDTHS[primitive]
-    taken = []
+    taken = ()
     if views and primitive == "uint8":
-        at = views[-1][0]
+        at, taken = views[-1][0], []
         while views and views[-1][0] == at and pos <= at <= stop - len(views[-1][1]):
             taken.append(views.pop()[1])
             stop -= len(taken[-1])

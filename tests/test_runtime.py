@@ -1039,7 +1039,7 @@ class TestTakeByReference:
         [(bytearray, VIEW_MIN_BYTES), (bytes, VIEW_MIN_BYTES // 4)],
         ids=["bytearray", "256KiB"],
     )
-    def test_a_payload_not_sent_by_reference_finishes_in_the_buffer(
+    def test_a_payload_not_sent_by_reference_is_decoded_joined_after_the_head(
         self, registry, kind, size, monkeypatch
     ):
         joined = count_joined(monkeypatch)
@@ -1051,8 +1051,7 @@ class TestTakeByReference:
             frame = bytes(serialize({"data": payload}, sub.plan).payload)
             got = self.take_after_the_head(inst, {"data": payload}, monkeypatch)
         assert got == {"data": payload}
-        assert joined == [len(frame)]
-        assert bytes(sub._rx.view[: len(frame)]) == frame
+        assert joined == [len(frame)] and sub._rx_len == 0
 
     def test_unaligned_payload_split_between_the_buffer_and_held_pieces(
         self, named, monkeypatch
