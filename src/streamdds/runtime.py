@@ -58,17 +58,19 @@ A sequential node runs inside its publisher's context when its one
 subscription has no FIFO depth and its topic's only publisher is another
 sequential kernel node, unless following publishers upward leads back to
 it.  Such a fused edge has no channel: the publisher serializes once,
-writes any threaded subscribers' channels, then hands the frame to each
-fused subscriber by call, which reassembles, decodes, runs the node's body
-and its own publishes before the publish returns.  A full downstream
-channel therefore blocks the whole fused chain, as keep-all requires.
-A publish calls its fused subscribers shortest fused chain first.  Because
-a context makes its writes one after another, a node stays in a thread of
-its own where fusing it could make its context wait on itself: where paths
-leaving a context meet again at one node, all but one of that node's
-subscriptions on them need a ``fifo=`` depth, and the context must write
-the remaining one last (``_plan_contexts``).  Every other kernel-driven
-node gets one thread.  ``contexts()`` reports the result.
+writes any threaded subscribers' channels (a topic whose subscribers are
+all fused is written to no channel, and its frame is stamped sent once),
+then hands the frame to each fused subscriber by call, which stamps,
+decodes, runs the node's body and its own publishes before the publish
+returns.  A full downstream channel therefore blocks the whole fused
+chain, as keep-all requires.  A publish calls its fused subscribers
+shortest fused chain first.  Because a context makes its writes one after
+another, a node stays in a thread of its own where fusing it could make
+its context wait on itself: where paths leaving a context meet again at
+one node, all but one of that node's subscriptions on them need a
+``fifo=`` depth, and the context must write the remaining one last
+(``_plan_contexts``).  Every other kernel-driven node gets one thread.
+``contexts()`` reports the result.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .msgdef import SerializationPlan
 from .serde import MessageValue, deserialize_segments, serialize_segments
@@ -173,12 +175,13 @@ class FrameMeta:
     t_last_sent: int | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class FrameTimes:
-    """Per-frame endpoint timestamps (nanoseconds, monotonic clock).
+class FrameTimes(NamedTuple):
+    """A frame's endpoint timestamps (nanoseconds, monotonic clock); immutable.
 
     ``t_first_sent`` and ``t_last_sent`` are when a channel accepted the
-    frame's first and last words.  ``t_first_recv`` and ``t_last_recv`` are
+    frame's first and last words; for a frame written to no channel, as
+    on a topic whose subscribers are all fused, both are when the
+    publisher handed it on.  ``t_first_recv`` and ``t_last_recv`` are
     when the first and last words reached the subscriber port: for a frame
     read from its channel, when they landed in the port's reassembly
     buffer; for a frame a writer handed to a parked reader by reference,
@@ -533,6 +536,7 @@ class PortHandle:
         self.plan = plan
         self.channels = tuple(channels)
         self.channel = self.channels[0] if self.channels else None
+        self._from_start = tuple((ch, 0) for ch in self.channels)  # _write's first pass
         self._token = token
         self._clock = clock
         self._trace = trace
@@ -585,22 +589,12 @@ class PortHandle:
         return meta
 
     def _take_token(self, blocking: bool = True) -> bool:
-        """Hold the topic's frame token, if it has one.
-
-        The holder is the channels' only writer, so their space wake-ups
-        are routed to it.
-        """
-        if self._token is None:
-            return True
+        """Hold the topic's token; as the only writer, take its channels' wake-ups."""
         if not self._token.acquire(self.waker, blocking):
             return False
         for ch in self.channels:
             ch.writer_waker = self.waker
         return True
-
-    def _give_token(self) -> None:
-        if self._token is not None:
-            self._token.release()
 
     def _push(self, segments, last: bool, meta: FrameMeta) -> None:
         """Blocking write of ``segments`` in order.
@@ -608,10 +602,10 @@ class PortHandle:
         With ``last`` the final segment also pushes the marker, and the
         frame becomes ``last_times``.
         """
-        *body, tail = segments
-        for segment in body:
-            self._write(segment, False, meta)
-        self._write(tail, last, meta)
+        if len(segments) > 1:
+            for segment in segments[:-1]:
+                self._write(segment, False, meta)
+        self._write(segments[-1], last, meta)
         if last:
             self.last_times = FrameTimes(
                 meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
@@ -620,24 +614,27 @@ class PortHandle:
     def _write(self, payload, last: bool, meta: FrameMeta) -> None:
         """Blocking write of ``payload`` to every channel.
 
-        Each pass offers each channel what it has not taken yet: it takes
-        what fits, a parked reader all of it, and a zero-word marker always.
-        A channel that has taken everything leaves the loop.  The port waits
-        only after a pass that moved no word on any channel, so a channel
-        with room is never held back by a full sibling, and the call
-        returns once every channel has taken the whole payload.
+        A topic whose subscribers are all fused has none, and its publish
+        does not call this.  Each pass offers each channel what it has not
+        taken yet: it takes what fits, a parked reader all of it, and a
+        zero-word marker always.  Only channels left short go on to the
+        next pass, so a pass in which all take everything builds nothing.
+        The port waits only after a pass that moved no word on any channel,
+        so a channel with room is never held back by a full sibling, and
+        the call returns once every channel has taken the whole payload.
         """
         mv = memoryview(payload)
         total = len(mv)
-        todo = [(ch, 0) for ch in self.channels]
+        todo = self._from_start
         cleared = False  # the waker was cleared before this pass
         while True:
-            moved, left = 0, []
+            moved, left = 0, ()
             for ch, offset in todo:
-                took = ch.write_some(mv[offset:], last, meta)
+                took = ch.write_some(mv[offset:] if offset else mv, last, meta)
                 moved += took
-                if offset + 4 * took < total:
-                    left.append((ch, offset + 4 * took))
+                offset += 4 * took
+                if offset < total:
+                    left += ((ch, offset),)
             if not left:
                 return
             todo = left
@@ -654,18 +651,24 @@ class PortHandle:
         """Send one message; returns after every channel accepted its last word.
 
         Then each fused subscriber receives the frame by call, and its node
-        runs, publishes included, before this returns.
+        runs, publishes included, before this returns.  A topic whose
+        subscribers are all fused has no channel: the frame is stamped sent
+        once and handed straight to them.
         """
         self._require(PUB)
         segments = serialize_segments(value, self.plan)
         meta = self._new_meta()
-        if not self.channels:  # every subscriber is fused
-            meta.t_first_sent = meta.t_last_sent = self._clock()
-        self._take_token()
-        try:
+        if not self.channels:
+            meta.t_first_sent = meta.t_last_sent = t = self._clock()
+            self.last_times = FrameTimes(meta.topic, meta.publisher, meta.seq, t, t)
+        elif self._token is None:
             self._push(segments, True, meta)
-        finally:
-            self._give_token()
+        else:
+            self._take_token()
+            try:
+                self._push(segments, True, meta)
+            finally:
+                self._token.release()
         for sub in self.fused:
             sub.deliver(segments, meta)
 
@@ -682,7 +685,7 @@ class PortHandle:
         self._require(PUB)
         self._require_unfused("publish_try")
         segments = serialize_segments(value, self.plan)
-        if not self._take_token(blocking=False):
+        if self._token is not None and not self._take_token(blocking=False):
             return False
         try:
             need = sum(map(len, segments)) // 4
@@ -690,7 +693,8 @@ class PortHandle:
                 return False
             self._push(segments, True, self._new_meta())
         finally:
-            self._give_token()
+            if self._token is not None:
+                self._token.release()
         return True
 
     def write_chunk(self, data, last: bool = False) -> None:
@@ -707,7 +711,8 @@ class PortHandle:
         self._require(PUB)
         self._require_unfused("write_chunk")
         if self._tx_meta is None:
-            self._take_token()
+            if self._token is not None:
+                self._take_token()
             self._tx_meta = self._new_meta()
         held = self._tx_tail
         if not held and data.__class__ is bytes and len(data) % 4 == 0:
@@ -728,10 +733,11 @@ class PortHandle:
             self._push((payload,), last, meta)
         except BaseException:
             self._tx_meta = None  # the frame is abandoned
-            self._give_token()
+            if self._token is not None:
+                self._token.release()
             raise
-        if last:
-            self._give_token()
+        if last and self._token is not None:
+            self._token.release()
 
     # -- subscriber -------------------------------------------------------
 
@@ -749,13 +755,8 @@ class PortHandle:
     def _finish_frame(self, meta: FrameMeta | None, t_first: int, t_last: int) -> None:
         if meta is not None:
             times = FrameTimes(
-                meta.topic,
-                meta.publisher,
-                meta.seq,
-                meta.t_first_sent,
-                meta.t_last_sent,
-                t_first,
-                t_last,
+                meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent,
+                t_first, t_last,
             )
         else:  # untraceable frame (chunk-level producer outside port API)
             times = FrameTimes(self.topic, "?", -1, None, None, t_first, t_last)
@@ -844,11 +845,6 @@ class PortHandle:
             done = self._absorb(*res)
             if done is not None:
                 return self._complete(*done)
-
-    def _accept(self, segments, meta: FrameMeta) -> MessageValue:
-        """Decode a frame a fused publisher hands over by call, from its segments."""
-        t = self._clock()
-        return self._complete(segments, meta, t, t)
 
     def _complete(self, pieces, meta: FrameMeta, first_t: int, last_t: int) -> MessageValue:
         """Stamp a whole frame and decode it from its ``pieces``."""
@@ -1087,7 +1083,7 @@ class RuntimeInstance:
         the next one parks its publisher until shutdown, as a stopped
         thread's full channel would.
         """
-        topic = sub.topic
+        topic, plan, clock = sub.topic, sub.plan, sub._clock
         stopped = False
 
         def deliver(segments, meta: FrameMeta) -> None:
@@ -1098,7 +1094,9 @@ class RuntimeInstance:
             if self._closed:
                 raise ShutdownError(f"node {node}: the runtime is shut down")
             try:
-                _run_body(kernel, {topic: sub._accept(segments, meta)}, pubs)
+                t = clock()
+                sub._finish_frame(meta, t, t)
+                _run_body(kernel, {topic: deserialize_segments(segments, plan)}, pubs)
             except ShutdownError:
                 raise
             except StopKernel:
@@ -1112,12 +1110,13 @@ class RuntimeInstance:
 
 def _run_body(kernel: NodeKernel, inputs: dict, pubs: dict[str, PortHandle]) -> None:
     """One iteration of a sequential node: call the body, publish its outputs."""
-    outputs = kernel.body(inputs) or {}
-    unknown = outputs.keys() - pubs.keys()
-    if unknown:
+    outputs = kernel.body(inputs)
+    if not outputs:
+        return
+    if not outputs.keys() <= pubs.keys():
         raise ValueError(
             f"kernel {kernel.kernel_id!r} returned values for "
-            f"topics it does not publish: {sorted(unknown)}"
+            f"topics it does not publish: {sorted(outputs.keys() - pubs.keys())}"
         )
     for t, p in pubs.items():
         if t in outputs:

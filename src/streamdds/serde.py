@@ -24,10 +24,11 @@ object of at least ``VIEW_MIN_BYTES`` (the view ``serialize_segments``
 emits, or slices of it, as a bounded channel cuts them) and follow one
 another with no other segment between them become the value of the
 ``uint8`` array they line up with: the array's bytes before, among and
-after them, joined in one copy.  Only one view that covers the whole object
-and the whole array returns the caller's object itself.  Any other layout,
-and any frame that does not decode, is decoded joined, so its errors read
-exactly as ``deserialize``'s.
+after them, joined in one copy; when the segments around the views are one
+piece, those bytes are read from it in place.  Only one view that covers
+the whole object and the whole array returns the caller's object itself.
+Any other layout, and any frame that does not decode, is decoded joined,
+so its errors read exactly as ``deserialize``'s.
 
 ``flatten`` compiles every plan it makes into a ``Codec``, so the work is
 done once, when a topology is built; ``serialize`` and ``deserialize`` only
@@ -90,6 +91,7 @@ _COUNT = struct.Struct("<I")
 _BYTES = (bytes, bytearray, memoryview)
 _PAD = bytes(3)
 _PACK_ERRORS = (struct.error, TypeError, OverflowError)
+_NOT_WORDS = "frame payload must be a whole number of 32-bit words"
 
 # Smallest ``bytes`` value published by reference.  Below it a copy costs
 # less than what a view adds to the transfer: each segment a view splits off
@@ -147,7 +149,7 @@ class Frame:
 
     def __post_init__(self):
         if len(self.payload) % 4 != 0:
-            raise ValueError("frame payload must be a whole number of 32-bit words")
+            raise ValueError(_NOT_WORDS)
 
     @property
     def word_count(self) -> int:
@@ -194,9 +196,13 @@ def deserialize_segments(segments, plan: SerializationPlan) -> MessageValue:
 
     Each segment must be a whole number of words.  The segments are only
     read, and a decoded ``uint8`` array may be the object a view segment
-    shows (see the module docstring).
+    shows (see the module docstring).  A lone segment is decoded in place,
+    and so are the bytes around the views when they are one segment;
+    any other frame is joined first.
     """
-    if len(segments) != 1:
+    if len(segments) == 1:
+        frame = segments[0]
+    else:
         views, rest, size = [], [], 0
         for segment in segments:
             if _is_view(segment):
@@ -206,14 +212,18 @@ def deserialize_segments(segments, plan: SerializationPlan) -> MessageValue:
                 size += len(segment)
         if views and size % 4 == 0:
             views.reverse()  # the next one to line up with an array is last
+            around = rest[0] if len(rest) == 1 else b"".join(rest)
             try:
-                value = _deserialize(plan.codec, memoryview(b"".join(rest)), views)
+                value = _deserialize(plan.codec, memoryview(around), views)
                 if not views:  # each lined up with its array
                     return value
             except DeserializationError:
                 pass
-        segments = (b"".join(segments),)
-    return deserialize(Frame(segments[0]), plan)
+        frame = b"".join(segments)
+    if len(frame) % 4 != 0:
+        raise ValueError(_NOT_WORDS)
+    buf = frame if frame.__class__ is memoryview else memoryview(frame)
+    return _deserialize(plan.codec, buf, None)
 
 
 def _is_view(segment) -> bool:
@@ -233,7 +243,7 @@ def _deserialize(codec: Codec, buf: memoryview, views) -> MessageValue:
     """Decode one message from ``buf``; ``views`` are as for ``_decode``."""
     values, pos = _decode(codec, 1, buf, 0, None, views)
     tail = len(buf) - pos
-    if tail >= 4 or buf[pos:] != b"\x00" * tail:
+    if tail and (tail >= 4 or buf[pos:] != _PAD[:tail]):
         raise DeserializationError(
             f"{tail} trailing bytes after last slot are not word padding"
         )

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import threading
@@ -16,6 +17,7 @@ from streamdds.runtime import (
     EXTERNAL,
     SEQUENTIAL,
     FrameMeta,
+    FrameTimes,
     GrowBuffer,
     NodeKernel,
     PortHandle,
@@ -24,6 +26,7 @@ from streamdds.runtime import (
     ShutdownError,
     StopKernel,
     StreamChannel,
+    TraceLog,
     Waker,
     instantiate,
 )
@@ -846,6 +849,20 @@ class TestTakeByReference:
         assert got_b == got_c == [{"data": payload}]
         assert got_b[0]["data"] is payload and got_c[0]["data"] is payload
         assert joined == []
+
+    def test_a_frame_read_whole_from_its_channel_is_decoded_from_one_piece(
+        self, registry, monkeypatch
+    ):
+        joined = count_joined(monkeypatch)
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=64)
+        value = {"data": random.Random(9).randbytes(100)}
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            frame = b"".join(serialize_segments(value, pub.plan))
+            pub.publish_blocking(value)  # queued whole: nobody is parked
+            assert sub.take_try() == value
+        assert joined == [len(frame)]
 
     def test_bytearray_payload_changed_after_the_publish_arrives_unchanged(self, registry):
         inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
@@ -1712,6 +1729,61 @@ class TestExecutionContexts:
             )
             assert not inst.faults
 
+    def test_a_topic_fed_only_by_call_is_stamped_once_and_written_to_no_channel(
+        self, registry, monkeypatch
+    ):
+        written = []
+        write = PortHandle._write
+
+        def counted(port, payload, last, meta):
+            written.append((port.node, port.topic))
+            return write(port, payload, last, meta)
+
+        monkeypatch.setattr(PortHandle, "_write", counted)
+        seen = []  # the publisher's and the subscriber's last_times, from b's body
+
+        def b_body(inputs):
+            seen.append((inst.publisher("a", "T").last_times, inst.subscriber("b", "T").last_times))
+            return {"out": inputs["T"]}
+
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL, "a": relay("a", "in", "T"),
+                   "b": NodeKernel("b", SEQUENTIAL, b_body)}
+        inst = build(CHAIN_CFG, registry, kernels, trace=True, clock=itertools.count(1).__next__)
+        assert inst.contexts() == {"node:a": ["a", "b"]}
+        n = 3
+        with inst, watchdog(inst):
+            src, dst = inst.publisher("src", "in"), inst.subscriber("dst", "out")
+            for i in range(n):
+                src.publish_blocking(img(4, i))
+                assert dst.take_blocking() == img(4, i)
+        assert ("a", "T") not in written and {("src", "in"), ("b", "out")} <= set(written)
+        rows = [e for e in inst.trace.events() if e.topic == "T"]
+        assert [pub.seq for pub, _ in seen] == list(range(n)) and len(rows) == n
+        for (pub, sub), row in zip(seen, rows):
+            t = pub.t_first_sent
+            assert pub == FrameTimes("T", "a", pub.seq, t, t)
+            # the subscriber stamps its own receive time, after the send
+            assert sub == row == FrameTimes("T", "a", pub.seq, t, t, t + 1, t + 1)
+
+    @pytest.mark.parametrize("node", ["a", "b"], ids=["threaded", "fused"])
+    def test_outputs_for_topics_a_node_does_not_publish_fault_it(self, registry, node):
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL,
+                   "a": relay("a", "in", "T"), "b": relay("b", "T", "out")}
+        t_in, t_out = {"a": ("in", "T"), "b": ("T", "out")}[node]
+        kernels[node] = relay(node, t_in, t_out, "zz", "aa")
+        inst = build(CHAIN_CFG, registry, kernels, default_capacity_words=8)
+        assert inst.contexts() == {"node:a": ["a", "b"]}
+        with inst, watchdog(inst):
+            inst.publisher("src", "in").publish_blocking(img(1))
+            deadline = time.monotonic() + 5
+            while not inst.faults and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert [(f.node, type(f.error), str(f.error)) for f in inst.faults] == [(
+                node, ValueError,
+                f"kernel {node!r} returned values for topics it does not publish: ['aa', 'zz']",
+            )]
+            assert inst.closed
+
     def test_fused_ports_refuse_channel_operations(self, registry):
         kernels = {"src": EXTERNAL, "dst": EXTERNAL,
                    "a": relay("a", "in", "T"), "b": relay("b", "T", "out")}
@@ -2019,6 +2091,29 @@ class TestBackpressureSafety:
 
 
 class TestTrace:
+    def test_frame_times_are_immutable_in_field_order(self):
+        times = FrameTimes("T", "a", 3, 10, 20, 30, 40)
+        assert (times.topic, times.publisher, times.seq) == ("T", "a", 3)
+        assert (times.t_first_sent, times.t_last_sent) == (10, 20)
+        assert (times.t_first_recv, times.t_last_recv) == (30, 40)
+        assert FrameTimes("T", "a", 3, 10, 20).t_last_recv is None
+        for field in ("seq", "t_last_recv"):
+            with pytest.raises(AttributeError):
+                setattr(times, field, 0)
+        assert times == FrameTimes("T", "a", 3, 10, 20, 30, 40)
+
+    def test_csv_text(self):
+        log = TraceLog()
+        log.record(FrameTimes("T", "a", 0, 10, 20, 30, 40))
+        log.record(FrameTimes("U", "?", -1, None, None, 5, 6))
+        log.record(FrameTimes("V", "b", 7, 8, 9))
+        assert log.to_csv() == (
+            "topic,publisher,frame_seq,t_first_sent,t_last_sent,t_first_recv,t_last_recv\n"
+            "T,a,0,10,20,30,40\n"
+            "U,?,-1,None,None,5,6\n"
+            "V,b,7,8,9,None,None\n"
+        )
+
     def test_csv_format(self, registry):
         inst = build(
             "node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=2\n",

@@ -429,6 +429,21 @@ class TestDeserialize:
         with pytest.raises(DeserializationError, match="padding"):
             deserialize(Frame(b"\x01\x00\x00\x09"), plan)
 
+    @pytest.mark.parametrize("frame", [b"\x01\x00\x00\x09", b"\x01\x00\x09\x00"])
+    def test_padding_error_text_is_the_same_on_every_path(self, frame):
+        _, plan = plan_for("int8 v")
+        message = "3 trailing bytes after last slot are not word padding"
+        for decode, arg in [
+            (deserialize, Frame(frame)),
+            (deserialize_segments, [frame]),
+            (deserialize_segments, [bytearray(frame)]),
+            (deserialize_segments, [memoryview(frame)]),
+            (deserialize_segments, [frame, b""]),  # joined first
+        ]:
+            with pytest.raises(DeserializationError) as err:
+                decode(arg, plan)
+            assert str(err.value) == message
+
     def test_whole_extra_word_rejected(self):
         _, plan = plan_for("int32 v")
         with pytest.raises(DeserializationError):
@@ -758,8 +773,40 @@ class TestDeserializeSegments:
         head, view, tail = serialize_segments(value, plan)
         slices = [view[a:b] for a, b in zip([0, *cuts], [*cuts, len(view)])]
         got = deserialize_segments([head, *slices, tail], plan)
+        assert joined == [] and got["data"] is not data  # before deserialize runs here
         assert got == deserialize(serialize(value, plan), plan) == value
-        assert joined == [] and got["data"] is not data
+
+    @pytest.mark.parametrize(
+        "pieces", [[bytes(5)], [bytearray(6)], [memoryview(bytes(7))], [bytes(4), bytes(2)]]
+    )
+    def test_pieces_of_no_whole_words_are_refused_as_a_frame_is(self, pieces):
+        _, plan = plan_for("uint8[] data")
+        with pytest.raises(ValueError) as frame_error:
+            Frame(b"".join(pieces))
+        with pytest.raises(ValueError) as err:
+            deserialize_segments(pieces, plan)
+        assert str(err.value) == str(frame_error.value)
+        assert str(err.value) == "frame payload must be a whole number of 32-bit words"
+
+    def test_one_piece_around_the_views_is_decoded_in_place(self, monkeypatch):
+        # As a parked port hands over a frame whose head it read from the
+        # channel: the reassembly buffer's bytes, then slices of the payload.
+        _, plan = plan_for("uint32 seq\nuint8[] data")
+        data = random.Random(3).randbytes(VIEW_MIN_BYTES)
+        value = {"seq": 7, "data": data}
+        head, view = serialize_segments(value, plan)
+        prefix = bytearray(head) + view[:4096]
+        decoded = []  # the object each decode reads
+        decode = serde._deserialize
+        monkeypatch.setattr(
+            serde, "_deserialize",
+            lambda codec, buf, views: decoded.append(buf.obj) or decode(codec, buf, views),
+        )
+        got = deserialize_segments([prefix, view[4096:8192], view[8192:]], plan)
+        assert len(decoded) == 1 and decoded[0] is prefix  # neither joined nor copied
+        prefix[:] = bytes(len(prefix))  # the buffer takes the next frame
+        assert got == deserialize(serialize(value, plan), plan) == value
+        assert got["data"] is not data
 
     def test_slices_split_by_a_copied_piece_are_decoded_joined(self, monkeypatch):
         # The middle piece holds payload bytes but is no view, so the slices
