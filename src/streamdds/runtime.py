@@ -33,13 +33,13 @@ traces and decodes it in its own thread with
 segments the same way, by call.  So a ``bytes`` payload from
 ``VIEW_MIN_BYTES`` reaches such a subscriber uncopied: the decoded value is
 the publisher's object, or that object joined with its unaligned edge
-bytes in one copy.  A frame read from the channel instead, by a subscriber
-that found it holding something, by ``take_try`` or by ``read_chunk``, is
-copied into the port's reassembly buffer and decoded from there, and the
-codec copies byte arrays out of it; so is the rest of a frame whose park
-ended before its marker.  The port holds the rest of a frame that started
-in the buffer before it parked by reference as well, and decodes the
-buffer's bytes followed by those pieces; so such a ``bytes`` payload is
+bytes in one copy.  A port's frame in progress is the bytes copied into
+its reassembly buffer followed by pieces kept by reference: once a piece of
+a frame was handed to the parked port, every later one is kept too, also
+one read from the channel.  A frame read from the channel from its first
+word, by a subscriber that found it holding something or by ``take_try``,
+is copied into the buffer, and the codec copies byte arrays out of it; a
+``bytes`` payload of a frame that started there and finished parked is
 joined in one copy.  At most one frame per park bypasses the channel;
 after it, the channel's capacity and backpressure apply as before.
 
@@ -182,14 +182,11 @@ class FrameTimes(NamedTuple):
     frame's first and last words; for a frame written to no channel, as
     on a topic whose subscribers are all fused, both are when the
     publisher handed it on.  ``t_first_recv`` and ``t_last_recv`` are
-    when the first and last words reached the subscriber port: for a frame
-    read from its channel, when they landed in the port's reassembly
-    buffer; for a frame a writer handed to a parked reader by reference,
-    when its first and last pieces were handed over, and the reader wakes
-    after ``t_last_recv``; for a frame that started in the buffer and
-    finished parked, when its first word landed in the buffer and when its
-    last piece was handed over; for a fused subscriber, both are when the
-    publisher handed it the frame's segments.
+    when the subscriber port added the frame's first and last chunks to its
+    frame in progress, each read from the channel or handed over by a
+    writer while the port was parked; a parked reader wakes after
+    ``t_last_recv``.  For a fused subscriber, both are when the publisher
+    handed it the frame's segments.
     """
 
     topic: str
@@ -215,10 +212,10 @@ class StreamChannel:
     A reader that finds the channel empty may ``park`` its port as the
     ``receiver``.  While one is parked, ``write_some`` enqueues nothing: it
     hands each piece straight to the receiver, with no capacity limit, and
-    at the end-of-message marker it hands the receiver the completed frame,
-    unparks it and sets its waker.  ``unpark`` collects that frame, if any.
-    ``write_some`` is the only way in, so a parked receiver is handed every
-    frame, whichever publish sent it.
+    once a piece completes the receiver's frame it unparks the receiver and
+    sets its waker.  The receiver keeps the frame; ``unpark`` only stops
+    the delivery.  ``write_some`` is the only way in, so a parked receiver
+    is handed every frame, whichever publish sent it.
     """
 
     __slots__ = (
@@ -264,15 +261,17 @@ class StreamChannel:
         ``data`` must be a whole number of words.  ``last`` marks that
         ``data`` ends a frame; the marker (and ``meta``) attach only when
         the final word is accepted.  Send timestamps are stamped into
-        ``meta`` under the channel lock, once, so forwarded frames keep the
-        original publisher's times.  Returns 0 without side effects when
-        full (except that a zero-word marker is always accepted).  With a
-        receiver parked, all of ``data`` goes straight to it instead.
+        ``meta`` under the channel lock, each only while unset: the
+        channels of a broadcast share one ``FrameMeta``, and its times are
+        those of the first channel to accept the frame's first and last
+        words.  Returns 0 without side effects when full (except that a
+        zero-word marker is always accepted).  With a receiver parked, all
+        of ``data`` goes straight to it instead.
 
-        Either way the channel keeps a reference to ``data``, not a copy:
-        queued, until the reader has read it; handed to a parked receiver,
-        until the receiver has decoded its frame.  The caller must not
-        change ``data`` meanwhile.
+        Either way the channel keeps a reference to ``data``, not a copy,
+        and so may the reader: a piece, queued or handed to a parked
+        receiver, may be kept until the frame it belongs to is decoded.
+        The caller must not change ``data`` meanwhile.
         """
         nbytes = len(data)
         with self._lock:
@@ -292,9 +291,7 @@ class StreamChannel:
                 if final and meta.t_last_sent is None:
                     meta.t_last_sent = self._clock()
             if receiver is not None:
-                done = receiver._hold(data, final, meta)
-                if final:
-                    receiver._rx_done = done
+                if receiver._add(data, final, meta, True):
                     self.receiver = None
                     receiver.waker.set()
                 return take
@@ -360,15 +357,10 @@ class StreamChannel:
             self.receiver = port
             return True
 
-    def unpark(self, port: "PortHandle"):
-        """Stop delivering to ``port``; return the frame completed meanwhile, or None.
-
-        The frame is (pieces, meta, t_first_recv, t_last_recv).
-        """
+    def unpark(self, port: "PortHandle") -> None:
+        """Stop delivering to ``port``; a frame it completed meanwhile stays with it."""
         with self._lock:
             self.receiver = None
-            done, port._rx_done = port._rx_done, None
-            return done
 
     def close(self) -> None:
         with self._lock:
@@ -490,12 +482,10 @@ class PortHandle:
     channel's receiver and waits.  The writer then hands the port each piece
     of the frame by reference and wakes it once, when the frame is
     complete; the port stamps, traces and decodes it from those pieces in
-    its own thread.  A wake-up before then unparks the port: the pieces it
-    holds are copied into its reassembly buffer, and the rest of the frame
-    arrives through the channel or in a later park.  The rest of a frame
-    whose head the port read from the channel before it parked is held the
-    same way, and the frame decodes from the buffer's bytes followed by the
-    held pieces.  ``take_try`` and ``read_chunk`` never park.
+    its own thread.  A wake-up before then unparks the port, and the rest
+    of the frame, read from the channel or handed over in a later park, is
+    held as well (``_add``).  A frame finished while a wait unwinds is kept
+    for the next take.  ``take_try`` and ``read_chunk`` never park.
 
     Publishing hands ``bytes`` to the channels by reference (a ``uint8``
     array value from ``serde.VIEW_MIN_BYTES``, or a word-aligned
@@ -552,13 +542,14 @@ class PortHandle:
                 ch.writer_waker = self.waker
         self._seq = 0
         self.last_times: FrameTimes | None = None
-        # subscriber frame-reassembly state (persistent warm buffer + fill);
-        # a writer updates it under the channel lock while the port is parked
+        # subscriber frame in progress (``_add``): the warm buffer's first
+        # ``_rx_len`` bytes, then the pieces ``_held`` by reference; a writer
+        # updates it under the channel lock while the port is parked
         self._rx = GrowBuffer()
         self._rx_len = 0
         self._rx_first_t: int | None = None
-        self._held: list | None = None  # pieces of a frame handed over while parked
-        self._rx_done: tuple | None = None  # a frame completed while parked, not yet taken
+        self._held: list | None = None
+        self._rx_done: tuple | None = None  # a complete frame, not yet taken
         # publisher chunk-stream state
         self._tx_meta: FrameMeta | None = None
         self._tx_tail = b""
@@ -732,7 +723,8 @@ class PortHandle:
         try:
             self._push((payload,), last, meta)
         except BaseException:
-            self._tx_meta = None  # the frame is abandoned
+            self._tx_meta = None  # the frame is abandoned, with its held-back tail
+            self._tx_tail = b""
             if self._token is not None:
                 self._token.release()
             raise
@@ -764,87 +756,57 @@ class PortHandle:
         if self._trace is not None:
             self._trace.record(times)
 
-    def _absorb(self, data, last: bool, meta: FrameMeta | None):
-        """Append a chunk to the reassembly buffer.
+    def _add(self, data, last: bool, meta: FrameMeta | None, by_ref: bool) -> bool:
+        """Add a chunk to the frame in progress; True once it is complete.
 
-        At the frame's marker, returns (pieces, meta, t_first_recv,
-        t_last_recv), the one piece a view of the buffer, and resets for the
-        next frame; otherwise None.
+        A chunk ``by_ref``, one a writer hands this parked port, is kept by
+        reference, and so is every later chunk of its frame; any other is
+        copied into the reassembly buffer.  The complete frame is stored as
+        ``_rx_done``, (pieces, meta, t_first_recv, t_last_recv): the
+        buffer's bytes, if any, followed by the kept pieces.
         """
         if self._rx_first_t is None:
             self._rx_first_t = self._clock()
-        self._rx_len = self._rx.write(self._rx_len, data)
+        held = self._held
+        if held is not None:
+            held.append(data)
+        elif by_ref:
+            held = self._held = [data]
+        else:
+            self._rx_len = self._rx.write(self._rx_len, data)
         if not last:
-            return None
-        last_t = self._clock()
-        done = ((self._rx.view[: self._rx_len],), meta, self._rx_first_t, last_t)
+            return False
+        if held is None:
+            pieces = (self._rx.view[: self._rx_len],)
+        elif self._rx_len:
+            pieces = (self._rx.view[: self._rx_len], *held)
+        else:
+            pieces = held
+        self._rx_done = (pieces, meta, self._rx_first_t, self._clock())
         self._rx_len = 0
         self._rx_first_t = None
-        return done
-
-    def _hold(self, data, last: bool, meta: FrameMeta | None):
-        """Keep a chunk a writer hands this parked port, by reference.
-
-        Returns as ``_absorb`` does.  The bytes of a frame that started in
-        the reassembly buffer come first among the frame's pieces, followed
-        by the held ones.
-        """
-        held = self._held
-        if held is None:
-            held = self._held = []
-            if self._rx_first_t is None:
-                self._rx_first_t = self._clock()
-        held.append(data)
-        if not last:
-            return None
         self._held = None
-        if self._rx_len:
-            held.insert(0, self._rx.view[: self._rx_len])
-            self._rx_len = 0
-        done = (held, meta, self._rx_first_t, self._clock())
-        self._rx_first_t = None
-        return done
-
-    def _unpark(self):
-        """Unpark from the channel; return the frame completed meanwhile, or None.
-
-        The pieces held of a frame not yet complete are copied into the
-        reassembly buffer, ahead of the rest, which comes through the
-        channel or in a later park.
-        """
-        done = self.channel.unpark(self)
-        held, self._held = self._held, None
-        for piece in held or ():
-            self._rx_len = self._rx.write(self._rx_len, piece)
-        return done
+        return True
 
     def _take(self, blocking: bool) -> MessageValue | None:
         channel = self.channel
-        done = self._rx_done
-        if done is not None:  # finished while an interrupted wait unwound
-            self._rx_done = None
-            return self._complete(*done)
         while True:
+            done = self._rx_done
+            if done is not None:
+                self._rx_done = None
+                return self._complete(*done)
             res = channel.read_some()
-            if res is None:
-                if not blocking:
-                    return None
+            if res is not None:
+                self._add(*res, False)
+            elif not blocking:
+                return None
+            else:
                 self.waker.clear()
                 if channel.park(self):
                     try:
                         self.waker.wait()
-                    except BaseException:
-                        # e.g. KeyboardInterrupt: stop direct delivery and
-                        # keep a frame it finished for the next take
-                        self._rx_done = self._unpark()
-                        raise
-                    done = self._unpark()
-                    if done is not None:
-                        return self._complete(*done)
-                continue
-            done = self._absorb(*res)
-            if done is not None:
-                return self._complete(*done)
+                    finally:  # also when the wait raises, e.g. KeyboardInterrupt
+                        channel.unpark(self)
 
     def _complete(self, pieces, meta: FrameMeta, first_t: int, last_t: int) -> MessageValue:
         """Stamp a whole frame and decode it from its ``pieces``."""
@@ -859,8 +821,8 @@ class PortHandle:
     def take_try(self) -> MessageValue | None:
         """Return a complete buffered message, or None without blocking.
 
-        Words of a partially arrived frame are absorbed into the reassembly
-        buffer; the frame is surfaced only once its marker arrives.
+        Words of a partially arrived frame are added to the port's frame in
+        progress; the frame is surfaced only once its marker arrives.
         """
         self._require(SUB)
         return self._take(blocking=False)

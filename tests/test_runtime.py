@@ -490,6 +490,31 @@ class TestPublishByReference:
             chunks = TestPublishByReference.read_frame(ch)
             assert b"".join(map(bytes, chunks)) == bytes(range(1, 15)) + bytes(2)
 
+    def test_an_abandoned_write_chunk_frame_leaves_no_tail_behind(self, registry):
+        class Interrupt(Exception):
+            pass
+
+        class InterruptingWaker(Waker):
+            def wait(self):
+                raise Interrupt
+
+        inst = build("node a\n pub T demo/Blob\nnode b\n sub T demo/Blob\n", registry,
+                     {"a": EXTERNAL, "b": EXTERNAL}, default_capacity_words=2)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            pub.publish_blocking({"data": b"ab"})  # two words: the link is full
+            waker, pub.waker = pub.waker, InterruptingWaker()
+            with pytest.raises(Interrupt):
+                pub.write_chunk(b"xyzwv")  # holds back b"v", then waits for room
+            pub.waker = waker
+            assert sub.channel.buffered_words() == 2  # no word of it moved
+            assert sub.take_try() == {"data": b"ab"}
+            frame = bytes(serialize({"data": b"next"}, pub.plan).payload)
+            sender = threading.Thread(target=pub.write_chunk, args=(frame, True))
+            sender.start()
+            assert sub.take_blocking() == {"data": b"next"}
+            join_all([sender])
+
 
 class TestBackpressure:
     @pytest.mark.parametrize("depth", [1, 4])
@@ -644,11 +669,10 @@ class TestDirectDelivery:
 
         class StagedChannel(StreamChannel):
             def unpark(self, port):
-                done = super().unpark(port)
-                if done is None and not staged:
+                super().unpark(port)
+                if port._rx_done is None and not staged:
                     staged.append(self.write_some(rest, True, meta))
                     staged.append(self.buffered_words())
-                return done
 
         inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL})
         sub = inst.subscriber("b", "T")
@@ -863,6 +887,7 @@ class TestTakeByReference:
             pub.publish_blocking(value)  # queued whole: nobody is parked
             assert sub.take_try() == value
         assert joined == [len(frame)]
+        assert bytes(sub._rx.view[: len(frame)]) == frame  # copied into the buffer
 
     def test_bytearray_payload_changed_after_the_publish_arrives_unchanged(self, registry):
         inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
@@ -916,19 +941,21 @@ class TestTakeByReference:
             join_all([reader])
         assert out == [{"data": payload}] and joined == [len(frame)]
 
-    def test_spurious_wake_moves_the_held_pieces_ahead_of_the_channel(self, named):
+    def test_spurious_wake_keeps_the_held_pieces_ahead_of_the_channel(
+        self, named, monkeypatch
+    ):
         # Staged as in TestDirectDelivery: the reader is woken once the
         # first two segments were handed to it, and the last segment is
         # written while it is unparked, so it is queued in the channel.
         staged = []
+        joined = count_joined(monkeypatch)
 
         class StagedChannel(StreamChannel):
             def unpark(self, port):
-                done = super().unpark(port)
-                if done is None and not staged:
+                super().unpark(port)
+                if port._rx_done is None and not staged:
                     staged.append(self.write_some(memoryview(segments[2]), True, meta))
                     staged.append(self.buffered_words())
-                return done
 
         inst = build(self.NAMED, named, {"a": EXTERNAL, "b": EXTERNAL})
         sub = inst.subscriber("b", "T")
@@ -950,8 +977,9 @@ class TestTakeByReference:
             join_all([reader])
         assert staged == [len(segments[2]) // 4] * 2
         assert out == [value]
-        frame = b"".join(segments)
-        assert bytes(sub._rx.view[: len(frame)]) == frame
+        # the rest was kept by reference behind the held pieces, and the
+        # payload's view lined up with its array: nothing went into the buffer
+        assert sub._rx_len == 0 and len(sub._rx.buf) == 0 and joined == []
 
     def test_shutdown_during_a_held_frame_never_surfaces_it(self, registry):
         inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
@@ -1014,6 +1042,52 @@ class TestTakeByReference:
             assert sub.take_blocking() == {"data": cut}
             join_all([sender])
 
+    def test_interrupted_park_keeps_the_rest_of_a_bytes_payload_by_reference(
+        self, registry, monkeypatch
+    ):
+        class Interrupt(Exception):
+            pass
+
+        class InterruptingWaker(Waker):
+            """Raises from the first wait, once the head and half the
+            payload were handed to the parked reader."""
+
+            def __init__(self):
+                super().__init__()
+                self.staged = True
+
+            def wait(self):
+                if not self.staged:
+                    return super().wait()
+                self.staged = False
+                sub.channel.write_some(memoryview(head), False, meta)
+                sub.channel.write_some(view[:half], False, meta)
+                raise Interrupt
+
+        joined = count_joined(monkeypatch)
+        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
+                     default_capacity_words=16)
+        payload = random.Random(16).randbytes(VIEW_MIN_BYTES)
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            head, view = serialize_segments({"data": payload}, pub.plan)
+            assert view.obj is payload
+            half, meta = len(view) // 2, FrameMeta("T", "a", 0)
+            sub.waker = sub.channel.reader_waker = InterruptingWaker()
+            with pytest.raises(Interrupt):
+                sub.take_blocking()
+            assert sub.channel.receiver is None and sub.channel.buffered_words() == 0
+            sender = threading.Thread(target=pub._push, args=((view[half:],), True, meta))
+            sender.start()
+            deadline = time.monotonic() + DEADLINE_S
+            while sub.channel.free_words():  # the rest starts in the 16-word channel
+                assert time.monotonic() < deadline, "the sender never filled the channel"
+                time.sleep(0.0002)
+            got = sub.take_blocking()
+            join_all([sender])
+        assert got == {"data": payload}
+        assert sub._rx_len == 0 and len(sub._rx.buf) == 0 and joined == []
+
     @staticmethod
     def take_after_the_head(inst, value, monkeypatch):
         """Take ``value`` whose head was read from the channel before the port parked.
@@ -1023,13 +1097,14 @@ class TestTakeByReference:
         """
         pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
         handed = []
-        hold = PortHandle._hold
+        add = PortHandle._add
 
-        def counted(port, data, last, meta):
-            handed.append(len(data))
-            return hold(port, data, last, meta)
+        def counted(port, data, last, meta, by_ref):
+            if by_ref:
+                handed.append(len(data))
+            return add(port, data, last, meta, by_ref)
 
-        monkeypatch.setattr(PortHandle, "_hold", counted)
+        monkeypatch.setattr(PortHandle, "_add", counted)
         sender = threading.Thread(target=pub.publish_blocking, args=(value,))
         sender.start()
         deadline = time.monotonic() + DEADLINE_S
@@ -1098,9 +1173,8 @@ class TestArbiter:
         unpark = StreamChannel.unpark
 
         def counted(ch, port):
-            done = unpark(ch, port)
-            direct.append(done is not None)
-            return done
+            unpark(ch, port)
+            direct.append(port._rx_done is not None)
 
         monkeypatch.setattr(StreamChannel, "unpark", counted)
         sinks = [f"c{k}" for k in range(n_subs)]
