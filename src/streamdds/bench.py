@@ -7,35 +7,42 @@ desk scale:
   sizes.  Per message, the transport duration runs from the first word
   entering the network to the last word received (codec excluded); the
   codec-inclusive duration is reported alongside in the row extras.
-* ``bench_fanout``: one publisher, k draining subscribers; duration ends
-  when the last subscriber's take has returned the decoded message, read on
-  the subscriber's own thread for both subjects, so each side pays its
-  reader's wake-up and decode.  A software broadcaster pays a per-
-  subscriber copy, so only bounded growth is expected of the streaming
+* ``bench_fanout``: one publisher, k subscribers, each drained by its own
+  thread for the rig's life, and one barrier per rig ending each rep.  The
+  duration ends when the last subscriber's take has returned the decoded
+  message, read on the subscriber's own thread for both subjects, so each
+  side pays its reader's wake-up and decode.  A software broadcaster pays a
+  per-subscriber copy, so only bounded growth is expected of the streaming
   subject, while the baseline grows with per-reader stack work.
 * ``bench_chain``: the five-stage lane pipeline; duration runs from the
   first node's receipt of the camera frame to the last node's completed
-  command publish.
+  command publish.  Both subjects run the stage bodies of
+  ``kernels.chain_kernels``.
 
-Harness conventions: the transfer and fan-out scenarios drive every port
-from one harness thread over full-frame-capacity links (publish returns
-after enqueue; the take immediately after measures the receive-side
-movement), which keeps scheduler wake latency out of the size ladder.  In
-the sequential chain scenario the streaming runtime runs all five stages in
-one static context, the first stage's thread, which calls each later stage
-inside its publisher's publish, while the baseline keeps a thread per
-node; its jitter comparison is about exactly that difference in
-scheduling.  Baseline and streaming
-repetitions are interleaved in time so their ratio is immune to host
-throughput drift, the garbage collector is paused during measured loops,
-and the first 5% of repetitions are discarded as warm-up everywhere.
+Harness conventions: one loop (``_repeat``) runs every scenario.  It builds
+the scenario's rigs, one per subject and message size or subscriber count,
+and runs each repetition on every rig in turn, so baseline and streaming
+repetitions interleave in time and their ratio is immune to host throughput
+drift.  The garbage collector is paused throughout, every rig is closed,
+also on failure, and the first 5% of each rig's repetitions are discarded
+as warm-up.  The transfer rigs drive both ports from the harness thread
+over full-frame-capacity links (publish returns after enqueue; the take
+immediately after measures the receive-side movement), which keeps
+scheduler wake latency out of the size ladder.  In the sequential chain
+scenario the streaming runtime runs all five stages in one static context,
+the first stage's thread, which calls each later stage inside its
+publisher's publish, while the baseline keeps a thread per node; its jitter
+comparison is about exactly that difference in scheduling.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
 
 from .baseline import BaselineTopic
 from .kernels import (
@@ -49,21 +56,9 @@ from .kernels import (
     chain_kernels,
     make_image,
 )
-from .runtime import (
-    DATAFLOW,
-    EXTERNAL,
-    RuntimeConfig,
-    SEQUENTIAL,
-    instantiate,
-)
-from .topology import (
-    PUB,
-    SUB,
-    AppSpec,
-    NodeSpec,
-    PortSpec,
-    build_topology,
-)
+from .msgdef import flatten
+from .runtime import DATAFLOW, EXTERNAL, SEQUENTIAL, RuntimeConfig, instantiate
+from .topology import PUB, SUB, AppSpec, NodeSpec, PortSpec, build_topology
 
 WARMUP_FRACTION = 0.05
 
@@ -144,23 +139,24 @@ def _reject_outliers(samples: list[int]) -> tuple[list[int], int]:
     return kept, len(samples) - len(kept)
 
 
-def _finish_row(label: str, per_subject: dict[str, list[int]], reps: int) -> BenchRow:
-    cut = _warmup_cut(reps)
-    meas = {}
-    discarded = {}
+def _measure(row: BenchRow, subject: str, label: str, samples: list[int]) -> Measurement:
+    """Add ``subject``'s Measurement of ``samples`` to ``row``.
+
+    The warm-up is cut first; the outliers dropped are counted in the extras.
+    """
+    kept, dropped = _reject_outliers(samples[_warmup_cut(len(samples)) :])
+    if dropped:
+        row.extras[f"{subject}_outliers_discarded"] = float(dropped)
+    m = row.measurements[subject] = Measurement.from_samples(label, kept)
+    return m
+
+
+def _finish_row(label: str, per_subject: dict[str, list[int]]) -> BenchRow:
+    row = BenchRow(label, {})
     for s, samples in per_subject.items():
-        if s not in (BASELINE, STREAMING):
-            continue
-        kept, dropped = _reject_outliers(samples[cut:])
-        meas[s] = Measurement.from_samples(label, kept)
-        discarded[s] = dropped
-    speedup = None
-    if BASELINE in meas and STREAMING in meas:
-        speedup = meas[BASELINE].t_avg_ns / meas[STREAMING].t_avg_ns
-    row = BenchRow(label, meas, speedup)
-    for s, dropped in discarded.items():
-        if dropped:
-            row.extras[f"{s}_outliers_discarded"] = float(dropped)
+        _measure(row, s, label, samples)
+    if len(row.measurements) == 2:
+        row.speedup = row.measurements[BASELINE].t_avg_ns / row.measurements[STREAMING].t_avg_ns
     return row
 
 
@@ -174,6 +170,43 @@ def parse_size(token: str) -> int:
     if token.endswith("k"):
         return int(token[:-1]) * 1024
     return int(token)
+
+
+# -- repetitions ---------------------------------------------------------------
+
+
+class _Rig:
+    """One subject's fixture: ``rep`` runs one repetition, ``close`` releases it."""
+
+    def samples(self, returned: list) -> list:
+        """The run's samples, from what each ``rep`` returned."""
+        return returned
+
+    def close(self) -> None:
+        pass
+
+
+def _repeat(builds: dict, reps: int) -> dict:
+    """Build every rig, run each repetition on every rig in turn, close them all.
+
+    ``builds`` maps a key to the function that makes its rig; the result
+    maps each key to that rig's samples.  The garbage collector is paused
+    throughout, and every rig built is closed, also when a build or a
+    repetition fails.
+    """
+    with ExitStack() as stack:
+        if gc.isenabled():
+            gc.disable()
+            stack.callback(gc.enable)  # last, once every rig is closed
+        rigs = {}
+        for key, build in builds.items():
+            rigs[key] = rig = build()
+            stack.callback(rig.close)
+        returned = {key: [] for key in rigs}
+        for _ in range(reps):
+            for key, rig in rigs.items():
+                returned[key].append(rig.rep())
+        return {key: rig.samples(returned[key]) for key, rig in rigs.items()}
 
 
 # -- transfer ---------------------------------------------------------------
@@ -198,19 +231,28 @@ def _blob_payload(size: int, seed: int) -> bytes:
     return make_image(max(0, size - 8), seed)
 
 
-class _StreamTransferRig:
+def _blob_instance(spec: AppSpec, size: int):
+    """A started instance of ``spec`` over ``bench/Blob`` messages of ``size`` bytes.
+
+    The caller drives every port, and each link holds one whole frame.
+    """
+    graph = build_topology(spec, bench_registry(4))
+    config = RuntimeConfig(default_capacity_words=(size + 8 + 3) // 4 + 8)
+    kernels = {node.name: EXTERNAL for node in spec.nodes}
+    return instantiate(graph, kernels, config).start()
+
+
+def _blob_topic() -> BaselineTopic:
+    return BaselineTopic("data", flatten(bench_registry(4), BLOB_TYPE))
+
+
+class _StreamTransferRig(_Rig):
     """One-size streaming transfer fixture driven rep by rep."""
 
     def __init__(self, size: int, seed: int):
-        registry = bench_registry(4)
-        graph = build_topology(_two_node_spec(BLOB_TYPE), registry)
-        frame_words = (size + 8 + 3) // 4
-        self._config = RuntimeConfig(default_capacity_words=frame_words + 8)
+        self._inst = _blob_instance(_two_node_spec(BLOB_TYPE), size)
         self._value = _blob(0, _blob_payload(size, seed))
-        self._clock = self._config.clock
-        self._inst = instantiate(
-            graph, {"src": EXTERNAL, "dst": EXTERNAL}, self._config
-        ).start()
+        self._clock = self._inst.config.clock
         self._pub = self._inst.publisher("src", "data")
         self._sub = self._inst.subscriber("dst", "data")
         self.received = 0
@@ -231,15 +273,11 @@ class _StreamTransferRig:
         self._inst.shutdown()
 
 
-class _BaselineTransferRig:
+class _BaselineTransferRig(_Rig):
     """One-size baseline transfer fixture driven rep by rep."""
 
     def __init__(self, size: int, seed: int):
-        from .msgdef import flatten
-
-        registry = bench_registry(4)
-        plan = flatten(registry, BLOB_TYPE)
-        self._topic = BaselineTopic("data", plan)
+        self._topic = _blob_topic()
         self._writer = self._topic.create_writer("src")
         self._reader = self._topic.create_reader("dst")
         self._value = _blob(0, _blob_payload(size, seed))
@@ -258,27 +296,13 @@ class _BaselineTransferRig:
         bt = self._reader.last_times
         return (bt.t_last_recv - bt.t_first_sent, t1 - t0)
 
-    def close(self) -> None:
+    def samples(self, returned: list) -> list:
         if self._topic.copies_in != self.received or self._topic.copies_out != self.received:
             raise AssertionError("baseline copy accounting broke")
+        return returned
 
 
 _TRANSFER_RIGS = {BASELINE: _BaselineTransferRig, STREAMING: _StreamTransferRig}
-
-
-class _paused_gc:
-    def __enter__(self):
-        import gc
-
-        self._was_enabled = gc.isenabled()
-        gc.disable()
-        return self
-
-    def __exit__(self, *exc):
-        import gc
-
-        if self._was_enabled:
-            gc.enable()
 
 
 def bench_transfer(
@@ -296,37 +320,23 @@ def bench_transfer(
         if size < 4:
             raise ValueError("sizes must be at least 4 bytes")
     subjects = _subjects(subject)
+    samples = _repeat(
+        {(size, s): partial(_TRANSFER_RIGS[s], size, seed) for size in sizes for s in subjects},
+        reps,
+    )
+    cut = _warmup_cut(reps)
     rows = []
-    with _paused_gc():
-        rigs = {
-            (size, s): _TRANSFER_RIGS[s](size, seed) for size in sizes for s in subjects
-        }
-        transport = {key: [] for key in rigs}
-        with_codec = {key: [] for key in rigs}
-        try:
-            for _ in range(reps):
-                for key, rig in rigs.items():
-                    t, c = rig.rep()
-                    transport[key].append(t)
-                    with_codec[key].append(c)
-        finally:
-            for rig in rigs.values():
-                rig.close()
-        cut = _warmup_cut(reps)
-        for size in sizes:
-            codec_means = {
-                s: stats(with_codec[(size, s)][cut:])[0] for s in subjects
-            }
-            row = _finish_row(
-                format_size(size), {s: transport[(size, s)] for s in subjects}, reps
-            )
-            for s, mean in codec_means.items():
-                row.extras[f"{s}_with_codec_ms"] = mean / 1e6
-            if len(codec_means) == 2:
-                row.extras["speedup_with_codec"] = (
-                    codec_means[BASELINE] / codec_means[STREAMING]
-                )
-            rows.append(row)
+    for size in sizes:
+        per_subject = {s: samples[(size, s)] for s in subjects}
+        row = _finish_row(
+            format_size(size), {s: [t for t, _ in per_subject[s]] for s in subjects}
+        )
+        codec_means = {s: stats([c for _, c in per_subject[s][cut:]])[0] for s in subjects}
+        for s, mean in codec_means.items():
+            row.extras[f"{s}_with_codec_ms"] = mean / 1e6
+        if len(codec_means) == 2:
+            row.extras["speedup_with_codec"] = codec_means[BASELINE] / codec_means[STREAMING]
+        rows.append(row)
     return BenchReport("transfer", subjects, rows)
 
 
@@ -342,98 +352,104 @@ def _fanout_spec(k: int, msg_type: str) -> AppSpec:
     return AppSpec(tuple(nodes))
 
 
-def _drained_fanout(reps: int, k: int, publish_one, drain_one) -> list[int]:
-    """Shared fan-out loop: k draining consumer threads, barrier per rep.
+class _FanoutRig(_Rig):
+    """One publisher and k subscribers, each drained by its own thread.
 
-    ``publish_one(i) -> t_first_sent``; ``drain_one(idx, i)`` returns the
-    clock read once its take returned.  The per-message duration runs from
-    the transport start to the last subscriber's return.  A streaming
+    The drain threads live as long as the rig, and one barrier ends each rep
+    once every subscriber's take has returned.  A rep's duration runs from
+    the transport start (``_publish``) to the last subscriber's return, a
+    clock read on that subscriber's thread (``_take``).  A streaming
     subscriber's ``t_last_recv`` would not do: when it waits parked in
     ``take_blocking``, the publishing thread stamps it before the subscriber
-    wakes, while a baseline reader stamps its own after waking.
+    wakes, while a baseline reader stamps its own after waking.  On close
+    ``_release`` returns every take still waiting, so the threads end.
     """
-    recv_last = [[0] * reps for _ in range(k)]
-    barrier = threading.Barrier(k + 1)
-    errors: list[BaseException] = []
 
-    def drain(idx: int):
+    def __init__(self, k: int, reps: int, size: int, seed: int):
+        self._reps = reps
+        self._data = _blob_payload(size, seed)
+        self._seq = 0
+        self._returned = [0] * k
+        self._errors: list[BaseException] = []
+        self._barrier = threading.Barrier(k + 1)
+        self._threads = [
+            threading.Thread(target=self._drain, args=(idx,), name=f"drain{idx}", daemon=True)
+            for idx in range(k)
+        ]
+        for t in self._threads:
+            t.start()
+
+    def _drain(self, idx: int) -> None:
         try:
-            for i in range(reps):
-                recv_last[idx][i] = drain_one(idx, i)
-                barrier.wait()
-        except BaseException as e:  # noqa: BLE001 - reported by the main thread
-            errors.append(e)
-            barrier.abort()
+            for i in range(self._reps):
+                self._returned[idx] = self._take(idx, i)
+                self._barrier.wait()
+        except BaseException as e:  # noqa: BLE001 - reported by rep
+            self._errors.append(e)
+            self._barrier.abort()
 
-    threads = [
-        threading.Thread(target=drain, args=(idx,), name=f"drain{idx}", daemon=True)
-        for idx in range(k)
-    ]
-    for t in threads:
-        t.start()
-    sent_first = [0] * reps
-    try:
-        for i in range(reps):
-            sent_first[i] = publish_one(i)
-            barrier.wait()
-    finally:
-        for t in threads:
+    def rep(self) -> int:
+        t_first_sent = self._publish(_blob(self._seq, self._data))
+        self._seq += 1
+        try:
+            self._barrier.wait()
+        except threading.BrokenBarrierError:
+            if self._errors:
+                error = self._errors[0]
+                raise AssertionError(f"fanout consumer failed: {error!r}") from error
+            raise
+        return max(self._returned) - t_first_sent
+
+    def close(self) -> None:
+        self._barrier.abort()
+        self._release()
+        for t in self._threads:
             t.join(timeout=10.0)
-    if errors:
-        raise AssertionError(f"fanout consumer failed: {errors[0]!r}")
-    return [
-        max(recv_last[idx][i] for idx in range(k)) - sent_first[i] for i in range(reps)
-    ]
 
 
-def _stream_fanout(k: int, size: int, reps: int, seed: int) -> list[int]:
-    registry = bench_registry(4)
-    graph = build_topology(_fanout_spec(k, BLOB_TYPE), registry)
-    frame_words = (size + 8 + 3) // 4
-    config = RuntimeConfig(default_capacity_words=frame_words + 8)
-    data = _blob_payload(size, seed)
-    kernels = {"src": EXTERNAL, **{f"dst{i}": EXTERNAL for i in range(k)}}
+class _StreamFanoutRig(_FanoutRig):
+    def __init__(self, k: int, reps: int, size: int, seed: int):
+        self._inst = _blob_instance(_fanout_spec(k, BLOB_TYPE), size)
+        self._clock = self._inst.config.clock
+        self._pub = self._inst.publisher("src", "data")
+        self._subs = [self._inst.subscriber(f"dst{i}", "data") for i in range(k)]
+        super().__init__(k, reps, size, seed)
 
-    clock = config.clock
-    inst = instantiate(graph, kernels, config).start()
-    try:
-        pub = inst.publisher("src", "data")
-        subs = [inst.subscriber(f"dst{i}", "data") for i in range(k)]
+    def _publish(self, value: dict) -> int:
+        self._pub.publish_blocking(value)
+        return self._pub.last_times.t_first_sent
 
-        def publish_one(i: int) -> int:
-            pub.publish_blocking(_blob(i, data))
-            return pub.last_times.t_first_sent
+    def _take(self, idx: int, i: int) -> int:
+        self._subs[idx].take_blocking()
+        return self._clock()
 
-        def drain_one(idx: int, i: int) -> int:
-            subs[idx].take_blocking()
-            return clock()
-
-        return _drained_fanout(reps, k, publish_one, drain_one)
-    finally:
-        inst.shutdown()
+    def _release(self) -> None:
+        self._inst.shutdown()  # a parked take raises ShutdownError
 
 
-def _baseline_fanout(k: int, size: int, reps: int, seed: int) -> list[int]:
-    registry = bench_registry(4)
-    from .msgdef import flatten
+class _BaselineFanoutRig(_FanoutRig):
+    def __init__(self, k: int, reps: int, size: int, seed: int):
+        self._topic = _blob_topic()
+        self._writer = self._topic.create_writer("src")
+        self._readers = [self._topic.create_reader(f"dst{i}") for i in range(k)]
+        super().__init__(k, reps, size, seed)
 
-    plan = flatten(registry, BLOB_TYPE)
-    topic = BaselineTopic("data", plan)
-    writer = topic.create_writer("src")
-    readers = [topic.create_reader(f"dst{i}") for i in range(k)]
-    data = _blob_payload(size, seed)
+    def _publish(self, value: dict) -> int:
+        return self._writer.publish(value).t_first_sent
 
-    def publish_one(i: int) -> int:
-        return writer.publish(_blob(i, data)).t_first_sent
-
-    def drain_one(idx: int, i: int) -> int:
-        v = readers[idx].take(block=True)
-        t_returned = topic.clock()
+    def _take(self, idx: int, i: int) -> int:
+        v = self._readers[idx].take(block=True)
+        t_returned = self._topic.clock()
         if v["seq"] != i:
             raise AssertionError("baseline fanout lost a message")
         return t_returned
 
-    return _drained_fanout(reps, k, publish_one, drain_one)
+    def _release(self) -> None:
+        if self._seq < self._reps:  # a reader may wait for a message never sent
+            self._writer.publish(_blob(self._seq, b""))
+
+
+_FANOUT_RIGS = {BASELINE: _BaselineFanoutRig, STREAMING: _StreamFanoutRig}
 
 
 def bench_fanout(
@@ -443,47 +459,31 @@ def bench_fanout(
     if any(k < 1 for k in n_subs):
         raise ValueError("subscriber counts must be >= 1")
     subjects = _subjects(subject)
-    rows = []
-    for k in n_subs:
-        per_subject: dict[str, list[int]] = {}
-        for s in subjects:
-            run = _baseline_fanout if s == BASELINE else _stream_fanout
-            per_subject[s] = run(k, size, reps, seed)
-        rows.append(_finish_row(f"k={k}", per_subject, reps))
+    samples = _repeat(
+        {(k, s): partial(_FANOUT_RIGS[s], k, reps, size, seed) for k in n_subs for s in subjects},
+        reps,
+    )
+    rows = [_finish_row(f"k={k}", {s: samples[(k, s)] for s in subjects}) for k in n_subs]
     return BenchReport("fanout", subjects, rows)
 
 
 # -- five-stage chain --------------------------------------------------------
 
+_CHAIN_TYPES = dict(zip(CHAIN_TOPICS, [IMAGE_TYPE] * 4 + [CENTER_TYPE, COMMAND_TYPE]))
+
 
 def chain_spec() -> AppSpec:
     """Camera -> five pipeline nodes -> command monitor, all 1:1 topics."""
-    t = CHAIN_TOPICS
-    types = {
-        t[0]: IMAGE_TYPE,
-        t[1]: IMAGE_TYPE,
-        t[2]: IMAGE_TYPE,
-        t[3]: IMAGE_TYPE,
-        t[4]: CENTER_TYPE,
-        t[5]: COMMAND_TYPE,
-    }
+    t, types = CHAIN_TOPICS, _CHAIN_TYPES
     nodes = [NodeSpec("camera", "camera", (PortSpec(PUB, t[0], types[t[0]]),))]
     for i, name in enumerate(CHAIN_NODES):
-        nodes.append(
-            NodeSpec(
-                name,
-                name,
-                (
-                    PortSpec(SUB, t[i], types[t[i]]),
-                    PortSpec(PUB, t[i + 1], types[t[i + 1]]),
-                ),
-            )
-        )
+        ports = (PortSpec(SUB, t[i], types[t[i]]), PortSpec(PUB, t[i + 1], types[t[i + 1]]))
+        nodes.append(NodeSpec(name, name, ports))
     nodes.append(NodeSpec("monitor", "monitor", (PortSpec(SUB, t[5], types[t[5]]),)))
     return AppSpec(tuple(nodes))
 
 
-class _StreamChainRig:
+class _StreamChainRig(_Rig):
     """Five-stage pipeline in one static context, one image per rep.
 
     In sequential mode ``compensate`` owns the only node thread and the
@@ -515,7 +515,7 @@ class _StreamChainRig:
         self._mon.take_blocking()
         self._reps += 1
 
-    def durations(self) -> list[int]:
+    def samples(self, returned: list) -> list[int]:
         if self._inst.faults:
             raise AssertionError(f"chain kernels faulted: {self._inst.faults}")
         start_by_seq: dict[int, int] = {}
@@ -534,13 +534,18 @@ class _StreamChainRig:
 
 
 class _BaselineNode(threading.Thread):
-    """Sequential take/compute/publish loop over baseline topics."""
+    """Sequential take/compute/publish loop over baseline topics.
 
-    def __init__(self, name, reader, writer, transform, reps):
+    ``body`` is a sequential kernel body, called as the runtime calls it:
+    with the value taken, keyed by its topic; it returns the value to
+    publish keyed by the writer's topic.
+    """
+
+    def __init__(self, name, reader, writer, body, reps):
         super().__init__(name=f"bl-node-{name}", daemon=True)
         self.reader = reader
         self.writer = writer
-        self.transform = transform
+        self.body = body
         self.reps = reps
         self.take_done_ns: list[int] = []
         self.publish_done_ns: list[int] = []
@@ -549,65 +554,42 @@ class _BaselineNode(threading.Thread):
     def run(self):
         try:
             clock = self.reader.topic.clock
+            t_in, t_out = self.reader.topic.name, self.writer.topic.name
             for _ in range(self.reps):
                 value = self.reader.take(block=True)
                 self.take_done_ns.append(self.reader.last_times.t_last_recv)
-                out = self.transform(value)
+                out = self.body({t_in: value})[t_out]
                 self.writer.publish(out)
                 self.publish_done_ns.append(clock())
         except BaseException as e:  # noqa: BLE001 - surfaced by the harness
             self.error = e
 
 
-class _BaselineChainRig:
-    """Five-stage pipeline over baseline topics, one image per rep."""
+class _BaselineChainRig(_Rig):
+    """Five-stage pipeline over baseline topics, one image per rep.
+
+    Each stage is a thread that takes from its input topic, runs the
+    stage's body from ``chain_kernels(SEQUENTIAL, passes)``, the code the
+    streaming subject runs, and publishes the result.
+    """
 
     def __init__(self, reps: int, image_elems: int, passes: int, seed: int):
-        from .kernels import blur, compensate, extract_center, project, steer
-        from .msgdef import flatten
-        import numpy as np
-
         registry = bench_registry(image_elems)
-        t = CHAIN_TOPICS
-        image_plan = flatten(registry, IMAGE_TYPE)
-        plans = {
-            t[0]: image_plan,
-            t[1]: image_plan,
-            t[2]: image_plan,
-            t[3]: image_plan,
-            t[4]: flatten(registry, CENTER_TYPE),
-            t[5]: flatten(registry, COMMAND_TYPE),
+        topics = {
+            name: BaselineTopic(name, flatten(registry, msg_type))
+            for name, msg_type in _CHAIN_TYPES.items()
         }
-        topics = {name: BaselineTopic(name, plan) for name, plan in plans.items()}
-
-        def image_stage(fn):
-            return lambda v: {"pixels": fn(v["pixels"], passes)}
-
-        def extract_stage(v):
-            pixels = np.frombuffer(v["pixels"], dtype=np.uint8)
-            return extract_center(
-                int(pixels.sum(dtype=np.int64)),
-                pixels.size,
-                int(pixels.min()),
-                int(pixels.max()),
-            )
-
-        transforms = [
-            image_stage(compensate),
-            image_stage(blur),
-            image_stage(project),
-            extract_stage,
-            steer,
-        ]
+        kernels = chain_kernels(SEQUENTIAL, passes)
+        t = CHAIN_TOPICS
         self._nodes = [
             _BaselineNode(
-                CHAIN_NODES[i],
-                topics[t[i]].create_reader(CHAIN_NODES[i]),
-                topics[t[i + 1]].create_writer(CHAIN_NODES[i]),
-                transforms[i],
+                name,
+                topics[t[i]].create_reader(name),
+                topics[t[i + 1]].create_writer(name),
+                kernels[name].body,
                 reps,
             )
-            for i in range(5)
+            for i, name in enumerate(CHAIN_NODES)
         ]
         self._camera = topics[t[0]].create_writer("camera")
         self._monitor = topics[t[5]].create_reader("monitor")
@@ -621,7 +603,7 @@ class _BaselineChainRig:
         self._monitor.take(block=True)
         self._reps += 1
 
-    def durations(self) -> list[int]:
+    def samples(self, returned: list) -> list[int]:
         for node in self._nodes:
             node.join()
             if node.error is not None:
@@ -630,9 +612,6 @@ class _BaselineChainRig:
         return [
             last.publish_done_ns[i] - first.take_done_ns[i] for i in range(self._reps)
         ]
-
-    def close(self) -> None:
-        pass
 
 
 def bench_chain(
@@ -652,38 +631,19 @@ def bench_chain(
     transport hands over whole messages, so there is nothing to overlap.
     """
     subjects = _subjects(subject)
-    per_subject: dict[str, list[int]] = {}
-    with _paused_gc():
-        rigs: dict[str, object] = {}
-        try:
-            for s in subjects:
-                if s == BASELINE:
-                    rigs[s] = _BaselineChainRig(reps, image_elems, passes, seed)
-                else:
-                    rigs[s] = _StreamChainRig(mode, image_elems, passes, chunk_words, seed)
-            for _ in range(reps):
-                for s in subjects:
-                    rigs[s].rep()
-            for s in subjects:
-                per_subject[s] = rigs[s].durations()
-        finally:
-            for rig in rigs.values():
-                rig.close()
-    cut = _warmup_cut(reps)
+    builds = {
+        BASELINE: partial(_BaselineChainRig, reps, image_elems, passes, seed),
+        STREAMING: partial(_StreamChainRig, mode, image_elems, passes, chunk_words, seed),
+    }
+    samples = _repeat({s: builds[s] for s in subjects}, reps)
     rows = []
     ref: Measurement | None = None
     for s in subjects:
-        kept, dropped = _reject_outliers(per_subject[s][cut:])
-        m = Measurement.from_samples(s, kept)
+        row = BenchRow(f"{s} ({mode})" if s == STREAMING else f"{s} (sequential)", {})
+        m = _measure(row, s, s, samples[s])
         if ref is None:
             ref = m
-        row = BenchRow(
-            label=f"{s} ({mode})" if s == STREAMING else f"{s} (sequential)",
-            measurements={s: m},
-            speedup=ref.t_avg_ns / m.t_avg_ns,
-        )
-        if dropped:
-            row.extras[f"{s}_outliers_discarded"] = float(dropped)
+        row.speedup = ref.t_avg_ns / m.t_avg_ns
         rows.append(row)
     return BenchReport("chain", subjects, rows)
 

@@ -474,9 +474,10 @@ class PortHandle:
     belongs to exactly one execution context at a time (transferable, never
     shared concurrently).  Value-level operations (publish/take) frame whole
     messages through the codec; chunk-level operations (write_chunk /
-    read_chunk) expose the word stream for dataflow kernels.  Do not mix the
-    two levels within one frame.  ``last_times`` holds the timestamps of the
-    most recently completed frame on this port.
+    read_chunk) expose the word stream for dataflow kernels.  A whole-message
+    publish while a ``write_chunk`` frame is open raises ValueError.
+    ``last_times`` holds the timestamps of the most recently completed frame
+    on this port.
 
     A ``take_blocking`` that finds its channel empty parks the port as the
     channel's receiver and waits.  The writer then hands the port each piece
@@ -647,6 +648,8 @@ class PortHandle:
         once and handed straight to them.
         """
         self._require(PUB)
+        if self._tx_meta is not None:
+            raise ValueError(f"port {self.node}.{self.port_name} has a write_chunk frame open")
         segments = serialize_segments(value, self.plan)
         meta = self._new_meta()
         if not self.channels:
@@ -675,6 +678,8 @@ class PortHandle:
         """
         self._require(PUB)
         self._require_unfused("publish_try")
+        if self._tx_meta is not None:
+            raise ValueError(f"port {self.node}.{self.port_name} has a write_chunk frame open")
         segments = serialize_segments(value, self.plan)
         if self._token is not None and not self._take_token(blocking=False):
             return False

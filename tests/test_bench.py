@@ -1,12 +1,14 @@
+import gc
 import json
 import random
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamdds.baseline import BaselineTopic
+from streamdds.baseline import BaselineReader, BaselineTopic, BaselineWriter
 from streamdds.bench import (
     BASELINE,
     STREAMING,
@@ -30,6 +32,7 @@ from streamdds.kernels import (
     project,
 )
 from streamdds.msgdef import flatten
+from streamdds.runtime import PortHandle
 
 from support import two_pass_stats
 
@@ -258,6 +261,42 @@ class TestBenchRuns:
         # fanout drains from a separate thread, so its duration additionally
         # carries one scheduler wake; same order of magnitude, never less
         assert t * 0.5 < f < t + 1_000_000
+
+    def test_fanout_alternates_subjects_with_the_collector_paused(self, monkeypatch):
+        published = []
+        for cls, name, subject in (
+            (BaselineWriter, "publish", BASELINE),
+            (PortHandle, "publish_blocking", STREAMING),
+        ):
+            def record(obj, value, _publish=getattr(cls, name), _subject=subject):
+                published.append((_subject, gc.isenabled()))
+                return _publish(obj, value)
+
+            monkeypatch.setattr(cls, name, record)
+        bench_fanout([1, 2], size=1024, reps=4, subject="both", seed=0)
+        # every (k, subject) rig runs each rep in turn, all with the collector off
+        assert published == [(BASELINE, False), (STREAMING, False)] * 2 * 4
+
+    @pytest.mark.parametrize(
+        "subject, cls, name",
+        [(BASELINE, BaselineReader, "take"), (STREAMING, PortHandle, "take_blocking")],
+    )
+    def test_fanout_reports_a_failing_consumer(self, monkeypatch, subject, cls, name):
+        take = getattr(cls, name)
+        calls = []
+
+        def failing(obj, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 3:
+                raise RuntimeError("consumer broke")
+            return take(obj, *args, **kwargs)
+
+        monkeypatch.setattr(cls, name, failing)
+        with pytest.raises(
+            AssertionError, match=r"fanout consumer failed: RuntimeError\('consumer broke'\)"
+        ):
+            bench_fanout([1], size=1024, reps=5, subject=subject, seed=0)
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("drain")]
 
     def test_chain_report_layout(self):
         rep = bench_chain(mode="sequential", subject="both", reps=40,

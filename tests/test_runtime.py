@@ -265,6 +265,27 @@ class TestPortsDirect:
             pub.write_chunk(bytes(8), last=True)
             assert sub.take_try() == {"data": bytes(16)}
 
+    def test_whole_message_publish_refused_while_a_chunk_frame_is_open(self, registry):
+        inst = build(
+            "node a\n pub T demo/Blob\nnode b\n sub T demo/Blob\n",
+            registry,
+            {"a": EXTERNAL, "b": EXTERNAL},
+            default_capacity_words=1024,
+        )
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            first = {"data": b"abcd" * 4}
+            frame = serialize(first, pub.plan).payload
+            pub.write_chunk(frame[:8])
+            for publish in (pub.publish_blocking, pub.publish_try):
+                with pytest.raises(ValueError, match="write_chunk frame open"):
+                    publish({"data": b"x" * 8})
+            pub.write_chunk(frame[8:], last=True)
+            assert sub.take_try() == first  # nothing spliced into the open frame
+            assert sub.take_try() is None
+            pub.publish_blocking({"data": b"x" * 8})  # a closed frame frees the port
+            assert sub.take_try() == {"data": b"x" * 8}
+
     def test_read_chunk_rejects_max_words_below_one(self, registry):
         inst = build(
             "node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=2\n",
@@ -1248,6 +1269,33 @@ class TestArbiter:
                 pub.publish_blocking(img(1, i))
             join_all([collector])
             assert seq == [0, 1, 2, 3, 4]
+
+    def test_whole_message_publish_refused_while_holding_the_token(self, registry):
+        cfg = "node a\n pub T demo/Blob\nnode c\n pub T demo/Blob\nnode b\n sub T demo/Blob\n"
+        inst = build(cfg, registry, {n: EXTERNAL for n in ("a", "b", "c")},
+                     default_capacity_words=1024)
+        with inst, watchdog(inst):
+            pub, other, sub = (inst.publisher("a", "T"), inst.publisher("c", "T"),
+                               inst.subscriber("b", "T"))
+            first = {"data": b"abcd" * 4}
+            frame = serialize(first, pub.plan).payload
+            pub.write_chunk(frame[:8])  # takes the topic's frame token
+            raised = []
+
+            def publish():
+                try:
+                    pub.publish_blocking({"data": b"x" * 8})
+                except BaseException as e:  # noqa: BLE001 - checked below
+                    raised.append(e)
+
+            t = threading.Thread(target=publish)
+            t.start()
+            join_all([t])  # it must not wait for the token its own port holds
+            assert [type(e) for e in raised] == [ValueError]
+            pub.write_chunk(frame[8:], last=True)
+            other.publish_blocking({"data": b"y" * 8})  # the token was released
+            assert sub.take_try() == first
+            assert sub.take_try() == {"data": b"y" * 8}
 
     def test_round_robin_fairness(self, registry):
         cfg = "node p1\n pub T demo/Img\nnode p2\n pub T demo/Img\nnode c\n sub T demo/Img\n"
