@@ -8,6 +8,8 @@ reliable backpressure semantics, choosing its execution contexts from the
 graph's shape when it is built: a chain of sequential nodes runs in its
 first node's thread, each fused node called inside its publisher's
 publish, unless that could make the thread wait on its own later writes;
+a chain fed by an external publisher runs inside the caller's publish
+where every link it writes holds a whole frame;
 other kernel-driven nodes get a thread each, and arbiters and
 broadcasters run in the publishing thread; and a benchmark harness
 compares it against a double-copy baseline middleware emulation.

@@ -486,13 +486,15 @@ def chain_spec() -> AppSpec:
 class _StreamChainRig(_Rig):
     """Five-stage pipeline in one static context, one image per rep.
 
-    In sequential mode ``compensate`` owns the only node thread and the
-    runtime fuses the other four stages into it; dataflow stages keep a
-    thread each.
+    In sequential mode every link holds a whole frame, so the runtime runs
+    all five stages inside the camera's publish in the harness thread, and
+    starts no node thread; dataflow stages keep a thread each.
 
     Chain duration runs from the first node's completed receipt of the
     camera frame to the last node's completed command publish, read from
-    the trace after all repetitions.
+    the trace after all repetitions.  A stage fused into the camera
+    receives the frame when the publish hands it over, so in sequential
+    mode no thread wake-up falls inside that window.
     """
 
     def __init__(self, mode: str, image_elems: int, passes: int, chunk_words: int, seed: int):

@@ -56,21 +56,40 @@ through the node, overlapping receive, compute, and send).  Nodes mapped to
 the EXTERNAL kernel get no thread; their ports are driven by the caller.
 A sequential node runs inside its publisher's context when its one
 subscription has no FIFO depth and its topic's only publisher is another
-sequential kernel node, unless following publishers upward leads back to
-it.  Such a fused edge has no channel: the publisher serializes once,
-writes any threaded subscribers' channels (a topic whose subscribers are
-all fused is written to no channel, and its frame is stamped sent once),
-then hands the frame to each fused subscriber by call, which stamps,
-decodes, runs the node's body and its own publishes before the publish
-returns.  A full downstream channel therefore blocks the whole fused
-chain, as keep-all requires.  A publish calls its fused subscribers
-shortest fused chain first.  Because a context makes its writes one after
-another, a node stays in a thread of its own where fusing it could make
-its context wait on itself: where paths leaving a context meet again at
-one node, all but one of that node's subscriptions on them need a
-``fifo=`` depth, and the context must write the remaining one last
-(``_plan_contexts``).  Every other kernel-driven node gets one thread.
-``contexts()`` reports the result.
+sequential kernel node or an EXTERNAL node, unless following publishers
+upward leads back to it.  Such a fused edge has no channel: the publisher
+serializes once, writes any threaded subscribers' channels (a topic whose
+subscribers are all fused is written to no channel, and its frame is
+stamped sent once), then hands the frame to each fused subscriber by call,
+which stamps, decodes, runs the node's body and its own publishes before
+the publish returns.  A ``write_chunk`` frame is handed over, as the pieces
+it was written in, by the call that ends it.  A full downstream channel
+therefore blocks the whole fused chain, as keep-all requires.  A publish
+calls its fused subscribers shortest fused chain first.  Because a context
+makes its writes one after another, a node stays in a thread of its own
+where fusing it could make its context wait on itself: where paths leaving
+a context meet again at one node, all but one of that node's subscriptions
+on them need a ``fifo=`` depth, and the context must write the remaining
+one last (``_plan_contexts``).  Every other kernel-driven node gets one
+thread.  ``contexts()`` reports the result.
+
+A chain fused into an EXTERNAL publisher runs in the caller's thread,
+inside its publish, and starts no thread; ``contexts()`` names it
+``caller:<node>``.  Such a chain holds no frame of its own, so it is fused
+only where every channel it writes holds a whole frame of its topic: a
+fixed-size type, and a plain link or ``fifo=`` depth at least one frame
+large.  Otherwise the nodes the caller feeds keep their threads.  What the
+caller gives up is running ahead: on links of one frame, a single thread
+that publishes k frames into an external -> sequential -> external line
+before taking any gets all k back for k up to 3 with a thread for the
+node, and only for k = 1 with the node in its publish.  The kernels also no
+longer overlap with the caller on a second CPU.  Kernels never run before
+``start()`` or after ``shutdown()``: a publish into a caller chain before
+``start()`` writes its channels, then waits in the chain until ``start()``
+runs it or ``shutdown()`` fails it with ShutdownError.  A fault in a caller
+chain is recorded under its node, stops the instance, and fails the
+caller's publish with ShutdownError; after a node there raises
+``StopKernel``, the caller's next publish into it parks until shutdown.
 """
 
 from __future__ import annotations
@@ -181,7 +200,8 @@ class FrameTimes(NamedTuple):
     ``t_first_sent`` and ``t_last_sent`` are when a channel accepted the
     frame's first and last words; for a frame written to no channel, as
     on a topic whose subscribers are all fused, both are when the
-    publisher handed it on.  ``t_first_recv`` and ``t_last_recv`` are
+    publisher handed it on (a ``write_chunk`` frame's first and last
+    calls).  ``t_first_recv`` and ``t_last_recv`` are
     when the subscriber port added the frame's first and last chunks to its
     frame in progress, each read from the channel or handed over by a
     writer while the port was parked; a parked reader wakes after
@@ -393,23 +413,21 @@ class FrameToken:
         self._waiters: deque[Waker] = deque()
         self._closed = False
 
-    def acquire(self, waker: Waker, blocking: bool = True) -> bool:
-        """Take the token, parking on ``waker``; False if held and not ``blocking``."""
+    def acquire(self, waker: Waker) -> None:
+        """Take the token, parking on ``waker`` while another publisher holds it."""
         with self._lock:
             if self._closed:
                 raise ShutdownError(f"topic {self.name} is shut down")
             if self._holder is None:
                 self._holder = waker
-                return True
-            if not blocking:
-                return False
+                return
             waker.clear()
             self._waiters.append(waker)
         while True:
             waker.wait()
             with self._lock:
                 if self._holder is waker:
-                    return True
+                    return
                 if self._closed:
                     raise ShutdownError(f"topic {self.name} is shut down")
                 waker.clear()
@@ -491,9 +509,9 @@ class PortHandle:
     Publishing hands ``bytes`` to the channels by reference (a ``uint8``
     array value from ``serde.VIEW_MIN_BYTES``, or a word-aligned
     ``write_chunk``); other buffers are copied, since the caller may change
-    them once the call returns.  All three publishing calls write through
-    one loop over ``channels`` (``_write``): within a frame a channel with
-    room is not held back by a full sibling, and a call returns once every
+    them once the call returns.  Both publishing calls write through one
+    loop over ``channels`` (``_write``): within a frame a channel with room
+    is not held back by a full sibling, and a call returns once every
     channel has taken all it was given.  A blocked port parks on its
     ``waker``, a bare lock.
 
@@ -503,9 +521,11 @@ class PortHandle:
     ``token`` is the topic's FrameToken when it has several publishers.
 
     A publisher's ``fused`` are the subscriber ports whose nodes run inside
-    its context; ``publish_blocking`` hands each frame to their ``deliver``
-    call.  Such a subscriber has no channel, and ``fused_into`` names the
-    context that runs it.
+    its context, which for an EXTERNAL node is the caller's thread.
+    ``publish_blocking`` hands each frame to their ``deliver`` call, and
+    ``write_chunk`` hands them the frame's pieces, by reference, with its
+    ``last`` chunk.  Such a subscriber has no channel, and ``fused_into``
+    names the context that runs it: ``node:<root>`` or ``caller:<node>``.
     """
 
     def __init__(
@@ -554,6 +574,7 @@ class PortHandle:
         # publisher chunk-stream state
         self._tx_meta: FrameMeta | None = None
         self._tx_tail = b""
+        self._tx_pieces: list | None = None  # the open frame's pieces, for fused subscribers
 
     def _require(self, direction: str) -> None:
         if self.direction != direction:
@@ -565,14 +586,6 @@ class PortHandle:
                 f"runs inside context {self.fused_into!r}, which hands it each frame"
             )
 
-    def _require_unfused(self, op: str) -> None:
-        if self.fused:
-            nodes = ", ".join(repr(p.node) for p in self.fused)
-            raise ValueError(
-                f"{op} on port {self.node}.{self.port_name}: topic {self.topic!r} feeds "
-                f"{nodes} by call in this context; use publish_blocking"
-            )
-
     # -- publisher --------------------------------------------------------
 
     def _new_meta(self) -> FrameMeta:
@@ -580,24 +593,31 @@ class PortHandle:
         self._seq += 1
         return meta
 
-    def _take_token(self, blocking: bool = True) -> bool:
+    def _take_token(self) -> None:
         """Hold the topic's token; as the only writer, take its channels' wake-ups."""
-        if not self._token.acquire(self.waker, blocking):
-            return False
+        self._token.acquire(self.waker)
         for ch in self.channels:
             ch.writer_waker = self.waker
-        return True
 
     def _push(self, segments, last: bool, meta: FrameMeta) -> None:
         """Blocking write of ``segments`` in order.
 
         With ``last`` the final segment also pushes the marker, and the
-        frame becomes ``last_times``.
+        frame becomes ``last_times``.  A port with no channel, on a topic
+        whose subscribers are all fused, stamps the frame sent instead: its
+        first send time on the frame's first call, its last on the ``last``.
         """
-        if len(segments) > 1:
-            for segment in segments[:-1]:
-                self._write(segment, False, meta)
-        self._write(segments[-1], last, meta)
+        if not self.channels:
+            t = self._clock()
+            if meta.t_first_sent is None:
+                meta.t_first_sent = t
+            if last:
+                meta.t_last_sent = t
+        else:
+            if len(segments) > 1:
+                for segment in segments[:-1]:
+                    self._write(segment, False, meta)
+            self._write(segments[-1], last, meta)
         if last:
             self.last_times = FrameTimes(
                 meta.topic, meta.publisher, meta.seq, meta.t_first_sent, meta.t_last_sent
@@ -606,7 +626,7 @@ class PortHandle:
     def _write(self, payload, last: bool, meta: FrameMeta) -> None:
         """Blocking write of ``payload`` to every channel.
 
-        A topic whose subscribers are all fused has none, and its publish
+        A topic whose subscribers are all fused has none, and ``_push``
         does not call this.  Each pass offers each channel what it has not
         taken yet: it takes what fits, a parked reader all of it, and a
         zero-word marker always.  Only channels left short go on to the
@@ -652,10 +672,7 @@ class PortHandle:
             raise ValueError(f"port {self.node}.{self.port_name} has a write_chunk frame open")
         segments = serialize_segments(value, self.plan)
         meta = self._new_meta()
-        if not self.channels:
-            meta.t_first_sent = meta.t_last_sent = t = self._clock()
-            self.last_times = FrameTimes(meta.topic, meta.publisher, meta.seq, t, t)
-        elif self._token is None:
+        if self._token is None:
             self._push(segments, True, meta)
         else:
             self._take_token()
@@ -666,33 +683,6 @@ class PortHandle:
         for sub in self.fused:
             sub.deliver(segments, meta)
 
-    def publish_try(self, value: MessageValue) -> bool:
-        """Send only if the whole frame fits in every channel right now.
-
-        Returns False without sending while another publisher of the topic
-        is mid-frame.  A frame that fits is written like any other, to a
-        parked reader too, and never waits: this port is the channels' only
-        writer, so their free space can only grow.  Raises ValueError on a
-        topic with fused subscribers, whose nodes would run, and may block,
-        inside this call.
-        """
-        self._require(PUB)
-        self._require_unfused("publish_try")
-        if self._tx_meta is not None:
-            raise ValueError(f"port {self.node}.{self.port_name} has a write_chunk frame open")
-        segments = serialize_segments(value, self.plan)
-        if self._token is not None and not self._take_token(blocking=False):
-            return False
-        try:
-            need = sum(map(len, segments)) // 4
-            if any(ch.free_words() < need for ch in self.channels):
-                return False
-            self._push(segments, True, self._new_meta())
-        finally:
-            if self._token is not None:
-                self._token.release()
-        return True
-
     def write_chunk(self, data, last: bool = False) -> None:
         """Stream raw frame bytes; ``last`` closes the frame.
 
@@ -701,15 +691,17 @@ class PortHandle:
         word boundary.  A whole number of words given as ``bytes`` while no
         tail is held goes to the channels by reference; anything else is
         copied once.  The port holds the topic's frame token from the
-        frame's first call to its ``last`` one.  Raises ValueError on a
-        topic with fused subscribers, which take only whole frames.
+        frame's first call to its ``last`` one.  Fused subscribers get the
+        frame's pieces, by reference, from the ``last`` call, and their nodes
+        run before it returns.
         """
         self._require(PUB)
-        self._require_unfused("write_chunk")
         if self._tx_meta is None:
             if self._token is not None:
                 self._take_token()
             self._tx_meta = self._new_meta()
+            if self.fused:
+                self._tx_pieces = []
         held = self._tx_tail
         if not held and data.__class__ is bytes and len(data) % 4 == 0:
             payload = data
@@ -730,11 +722,18 @@ class PortHandle:
         except BaseException:
             self._tx_meta = None  # the frame is abandoned, with its held-back tail
             self._tx_tail = b""
+            self._tx_pieces = None
             if self._token is not None:
                 self._token.release()
             raise
         if last and self._token is not None:
             self._token.release()
+        if self.fused:
+            self._tx_pieces.append(payload)
+            if last:
+                pieces, self._tx_pieces = self._tx_pieces, None
+                for sub in self.fused:
+                    sub.deliver(pieces, meta)
 
     # -- subscriber -------------------------------------------------------
 
@@ -925,11 +924,14 @@ class KernelFault:
 class RuntimeInstance:
     """A startable set of execution contexts over a topology's channels.
 
-    Each context is one thread running a chain of nodes: a root node and
-    the sequential nodes fused into it, which run by call inside its
-    publishes (see the module docstring).  Arbiters and
-    broadcasters run in the publishing thread, and EXTERNAL nodes in the
-    caller's.  ``contexts()`` lists each thread with the nodes it runs.
+    Each context runs a chain of nodes: a root node and the sequential
+    nodes fused into it, which run by call inside its publishes (see the
+    module docstring).  A kernel-driven root gets a thread of its own,
+    ``node:<root>``, which ``start()`` starts.  The chain fused into an
+    EXTERNAL node, ``caller:<node>``, runs in whichever thread calls that
+    node's publish, and lists only the fused nodes.  Arbiters and
+    broadcasters run in the publishing thread.  ``contexts()`` lists each
+    context with the nodes it runs.
     """
 
     def __init__(self, graph: TopologyGraph, config: RuntimeConfig):
@@ -940,8 +942,8 @@ class RuntimeInstance:
         self._ports: dict[tuple[str, str], PortHandle] = {}
         self._channels: list[StreamChannel] = []
         self._tokens: list[FrameToken] = []
-        # (thread name, nodes in call order, thread target)
-        self._contexts: list[tuple[str, tuple[str, ...], Callable[[], None]]] = []
+        # (context name, nodes in call order, thread target or None for a caller's)
+        self._contexts: list[tuple[str, tuple[str, ...], Callable[[], None] | None]] = []
         self._threads: list[threading.Thread] = []
         self._lock = threading.Lock()
         self._started = False
@@ -949,6 +951,9 @@ class RuntimeInstance:
         # held until shutdown; a stopped fused node parks its caller on it
         self._parked = threading.Lock()
         self._parked.acquire()
+        # held until start() or shutdown; a caller chain waits on it before start()
+        self._unstarted = threading.Lock()
+        self._unstarted.acquire()
 
     # -- wiring helpers -----------------------------------------------------
 
@@ -972,7 +977,7 @@ class RuntimeInstance:
         return list(self._channels)
 
     def contexts(self) -> dict[str, list[str]]:
-        """Each thread's name with the nodes it runs, in call order."""
+        """Each context's name with the nodes it runs, in call order."""
         return {name: list(nodes) for name, nodes, _ in self._contexts}
 
     def start(self) -> "RuntimeInstance":
@@ -980,7 +985,10 @@ class RuntimeInstance:
             if self._started or self._closed:
                 return self
             self._started = True
+            self._unstarted.release()
             for name, _, target in self._contexts:
+                if target is None:
+                    continue
                 t = threading.Thread(target=target, name=name, daemon=True)
                 self._threads.append(t)
                 t.start()
@@ -1003,6 +1011,8 @@ class RuntimeInstance:
             if self._closed:
                 return
             self._closed = True
+            if not self._started:
+                self._unstarted.release()
         self._parked.release()
         for ch in self._channels:
             ch.close()
@@ -1046,15 +1056,20 @@ class RuntimeInstance:
         """The call that runs fused ``node`` on each frame its publisher sends.
 
         A fault is recorded under ``node`` and unwinds the host thread as a
-        ShutdownError.  After ``StopKernel`` the node takes no more frames:
+        ShutdownError; a KeyboardInterrupt or SystemExit stops the instance
+        the same way but unwinds as itself.  After ``StopKernel`` the node takes no more frames:
         the next one parks its publisher until shutdown, as a stopped
-        thread's full channel would.
+        thread's full channel would.  A frame handed over before ``start()``,
+        which only a caller can do, waits for ``start()`` or shutdown.
         """
         topic, plan, clock = sub.topic, sub.plan, sub._clock
         stopped = False
 
         def deliver(segments, meta: FrameMeta) -> None:
             nonlocal stopped
+            if not self._started:
+                with self._unstarted:  # until start() or shutdown releases it
+                    pass
             if stopped:
                 with self._parked:  # until shutdown releases it
                     pass
@@ -1070,6 +1085,8 @@ class RuntimeInstance:
                 stopped = True
             except BaseException as e:  # noqa: BLE001 - kernel faults stop the instance
                 self._record_fault(node, e)
+                if not isinstance(e, Exception):  # e.g. KeyboardInterrupt in a caller
+                    raise
                 raise ShutdownError(f"node {node} faulted") from e
 
         return deliver
@@ -1104,14 +1121,23 @@ def _fifo_capacity_words(
     return max(1, depth * words)
 
 
-def _plan_contexts(graph: TopologyGraph, kernels: dict[str, NodeKernel]) -> dict[str, list[str]]:
-    """Each thread-owning node with the nodes its context runs, in call order.
+def _plan_contexts(
+    graph: TopologyGraph, kernels: dict[str, NodeKernel], capacity_words: int
+) -> dict[str, list[str]]:
+    """Each context's root with the nodes its context runs, in call order.
 
-    A sequential node is fused into its publisher's context when its one
-    subscription has no FIFO depth and its topic's only publisher is another
-    sequential node, unless following publishers upward leads back to it:
-    the members of a ring of such nodes each keep a thread.  A publish calls
-    its fused subscribers shortest fused chain first.
+    A root is a kernel-driven node with a thread of its own, or an EXTERNAL
+    node that nodes are fused into.  A sequential node is fused into its
+    publisher's context when its one subscription has no FIFO depth and its
+    topic's only publisher is another sequential node or an EXTERNAL one,
+    unless following publishers upward leads back to it: the members of a
+    ring of such nodes each keep a thread.  A publish calls its fused
+    subscribers shortest fused chain first.
+
+    A chain fused into an EXTERNAL node holds no frame of its own, so every
+    channel its fused nodes write must hold a whole frame of its topic
+    (plain links hold ``capacity_words``).  Where one does not, the nodes
+    that node feeds keep their own threads.
 
     A context writes its channels one after another, so it must not wait on
     a node that first wants a later write of the same context.  Where paths
@@ -1137,7 +1163,7 @@ def _plan_contexts(graph: TopologyGraph, kernels: dict[str, NodeKernel]) -> dict
         if subs[0].fifo_depth is not None or len(publishers) != 1:
             continue
         pub = publishers[0].node
-        if pub != node.name and kernels[pub].mode == SEQUENTIAL:
+        if pub != node.name and kernels[pub].mode != DATAFLOW:
             parent[node.name] = pub
     ring = set()
     for node in parent:
@@ -1161,20 +1187,39 @@ def _plan_contexts(graph: TopologyGraph, kernels: dict[str, NodeKernel]) -> dict
             fused = [r.node for r in tp.subscribers if r.node in parent]
             if fused:
                 children[(parent[fused[0]], tp.topic)] = sorted(fused, key=size.__getitem__)
-        plans, unfuse = {}, set()
+        plans, unfuse, hosts = {}, set(), set(parent.values())
         for node in graph.nodes:
-            if kernels[node.name].mode == EXTERNAL_MODE or node.name in parent:
+            root = node.name
+            caller = kernels[root].mode == EXTERNAL_MODE
+            if root in parent or (caller and root not in hosts):
                 continue
             plan, exits = [], []
-            _walk(node.name, children, pub_topics, subscribers, plan, exits)
-            plans[node.name] = plan
+            _walk(root, children, pub_topics, subscribers, plan, exits)
+            plans[root] = plan
             if len(plan) > 1:
                 unfuse |= _blocking_writers(set(plan), exits, subscribers, pub_topics)
+            if caller and not all(
+                _holds_a_frame(graph.plans[topic], ref, capacity_words)
+                for writer, topic, refs in exits
+                if writer != root
+                for ref in (refs if subscribers[topic] else (None,))  # None: the sink
+            ):
+                unfuse |= {n for n in plan if parent.get(n) == root}
         unfuse &= parent.keys()
         if not unfuse:
             return plans
         for node in unfuse:
             del parent[node]
+
+
+def _holds_a_frame(plan: SerializationPlan, ref, capacity_words: int) -> bool:
+    """Whether the channel of subscription ``ref`` (None: a plain link) holds a whole frame."""
+    words = plan.word_count()
+    if words is None:
+        return False
+    if ref is not None and ref.fifo_depth is not None:
+        return max(1, ref.fifo_depth * words) >= words
+    return capacity_words >= words
 
 
 def _walk(node, children, pub_topics, subscribers, plan: list, exits: list) -> None:
@@ -1250,7 +1295,7 @@ def instantiate(
         if kernel.mode != EXTERNAL_MODE and kernel.body is None:
             raise RuntimeBuildError(f"node {node.name!r}: kernel {kernel.kernel_id!r} has no body")
         node_kernels[node.name] = kernel
-    plans = _plan_contexts(graph, node_kernels)
+    plans = _plan_contexts(graph, node_kernels, config.default_capacity_words)
     call_rank = {node: k for plan in plans.values() for k, node in enumerate(plan)}
     fused_nodes = {node for plan in plans.values() for node in plan[1:]}
     node_ports: dict[str, tuple[dict, dict]] = {}
@@ -1294,12 +1339,16 @@ def instantiate(
             make_port(ref, PUB, tp.topic, plan, channels, token).fused = tuple(fused)
 
     for root, order in plans.items():
-        name = f"node:{root}"
+        caller = node_kernels[root].mode == EXTERNAL_MODE
+        name = f"caller:{root}" if caller else f"node:{root}"
         for fused_node in order[1:]:
             subs, pubs = node_ports[fused_node]
             (sub,) = subs.values()
             sub.fused_into = name
             sub.deliver = inst._fused_delivery(fused_node, node_kernels[fused_node], sub, pubs)
+        if caller:
+            inst._contexts.append((name, tuple(order[1:]), None))
+            continue
         ports = NodePorts(*node_ports.get(root, ({}, {})))
         kernel = node_kernels[root]
         inst._contexts.append(

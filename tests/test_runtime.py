@@ -201,44 +201,6 @@ class TestPortsDirect:
             got = [sub.take_blocking()["data"][1] for _ in range(3)]
             assert got == [0, 1, 2]
 
-    def test_publish_try(self, registry):
-        inst = build(
-            "node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=1\n",
-            registry,
-            {"a": EXTERNAL, "b": EXTERNAL},
-        )
-        with inst, watchdog(inst):
-            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
-            assert pub.publish_try(img(1))
-            assert not pub.publish_try(img(2))  # full FIFO: refused, unchanged
-            assert sub.take_blocking() == img(1)
-            assert pub.publish_try(img(3))
-
-    @pytest.mark.parametrize(
-        "subs, prefill",
-        [
-            # capacity for half a message: nothing may be enqueued
-            ("node b\n sub T demo/Img\n", 0),
-            # b's FIFO is full, c's has room: neither may change
-            ("node b\n sub T demo/Img fifo=1\nnode c\n sub T demo/Img fifo=2\n", 1),
-        ],
-        ids=["half-message-link", "one-of-two-full"],
-    )
-    def test_publish_try_no_partial_write(self, registry, subs, prefill):
-        inst = build(
-            "node a\n pub T demo/Img\n" + subs,
-            registry,
-            {"a": EXTERNAL, "b": EXTERNAL, "c": EXTERNAL},
-            default_capacity_words=2,
-        )
-        with inst:
-            pub = inst.publisher("a", "T")
-            for i in range(prefill):
-                assert pub.publish_try(img(0, i))
-            before = [ch.buffered_words() for ch in inst.channels()]
-            assert not pub.publish_try(img(1))
-            assert [ch.buffered_words() for ch in inst.channels()] == before
-
     def test_take_try(self, registry):
         inst = build(
             "node a\n pub T demo/Img\nnode b\n sub T demo/Img fifo=2\n",
@@ -277,9 +239,8 @@ class TestPortsDirect:
             first = {"data": b"abcd" * 4}
             frame = serialize(first, pub.plan).payload
             pub.write_chunk(frame[:8])
-            for publish in (pub.publish_blocking, pub.publish_try):
-                with pytest.raises(ValueError, match="write_chunk frame open"):
-                    publish({"data": b"x" * 8})
+            with pytest.raises(ValueError, match="write_chunk frame open"):
+                pub.publish_blocking({"data": b"x" * 8})
             pub.write_chunk(frame[8:], last=True)
             assert sub.take_try() == first  # nothing spliced into the open frame
             assert sub.take_try() is None
@@ -312,7 +273,7 @@ class TestPortsDirect:
             with pytest.raises(ValueError):
                 inst.publisher("a", "T").take_try()
             with pytest.raises(ValueError):
-                inst.subscriber("b", "T").publish_try(img(1))
+                inst.subscriber("b", "T").publish_blocking(img(1))
 
     def test_shape_mismatch_reported(self, registry):
         inst = build(
@@ -418,8 +379,7 @@ class TestPublishByReference:
         return [data for data, _, _ in chunks]
 
     @pytest.mark.parametrize("n_subs", [1, 2])
-    @pytest.mark.parametrize("publish", ["publish_blocking", "publish_try"])
-    def test_bytes_payload_sits_in_channel_as_view(self, registry, n_subs, publish):
+    def test_bytes_payload_sits_in_channel_as_view(self, registry, n_subs):
         subs = [f"b{i}" for i in range(n_subs)]
         cfg = "node a\n pub T demo/Blob\n" + "".join(f"node {b}\n sub T demo/Blob\n" for b in subs)
         inst = build(cfg, registry, {n: EXTERNAL for n in ["a", *subs]},
@@ -427,13 +387,13 @@ class TestPublishByReference:
         payload = random.Random(1).randbytes(VIEW_MIN_BYTES)
         with inst, watchdog(inst):
             pub = inst.publisher("a", "T")
-            assert getattr(pub, publish)({"data": payload}) in (None, True)
+            pub.publish_blocking({"data": payload})
             for b in subs:
                 count, data = self.read_frame(inst.subscriber(b, "T").channel)
                 assert bytes(count) == len(payload).to_bytes(4, "little")
                 assert isinstance(data, memoryview) and data.obj is payload
                 assert data == payload
-            getattr(pub, publish)({"data": payload})
+            pub.publish_blocking({"data": payload})
             for b in subs:
                 assert inst.subscriber(b, "T").take_blocking() == {"data": payload}
 
@@ -664,23 +624,6 @@ class TestDirectDelivery:
             # the writer moved the last word before its publish returned
             assert times.t_last_sent <= times.t_last_recv < publish_returned
             assert times.t_last_recv < returned
-
-    def test_publish_try_to_a_parked_reader_keeps_order(self, registry):
-        inst = build(self.BLOB, registry, {"a": EXTERNAL, "b": EXTERNAL},
-                     default_capacity_words=16)
-        with inst, watchdog(inst):
-            pub, sub = inst.publisher("a", "T"), inst.subscriber("b", "T")
-            got = []
-            reader = threading.Thread(
-                target=lambda: got.extend(sub.take_blocking()["data"] for _ in range(2))
-            )
-            reader.start()
-            wait_parked(sub)
-            assert pub.publish_try({"data": b"fits"})  # handed to the parked reader
-            assert sub.channel.buffered_words() == 0
-            pub.publish_blocking({"data": bytes(400)})
-            join_all([reader])
-        assert got == [b"fits", bytes(400)]
 
     def test_spurious_wake_mid_frame_finishes_through_the_channel(self, registry):
         # The race is staged: a wake-up reaches the parked reader after the
@@ -1573,9 +1516,11 @@ class TestNodesAndModes:
         def bad(inputs):
             raise RuntimeError("kernel exploded")
 
+        # links narrower than a frame keep mid in a thread of its own
         inst = build(cfg, registry, {"src": EXTERNAL, "dst": EXTERNAL,
                                      "mid": NodeKernel("mid", SEQUENTIAL, bad)},
-                     default_capacity_words=8)
+                     default_capacity_words=2)
+        assert inst.contexts() == {"node:mid": ["mid"]}
         with inst, watchdog(inst):
             pub = inst.publisher("src", "in")
             pub.publish_blocking(img(1))
@@ -1607,13 +1552,16 @@ class TestNodesAndModes:
 
 VEHICLE = Path(__file__).resolve().parent.parent / "configs" / "vehicle"
 
-# a -> T -> b, fed by an external source: b runs inside a's context
+# a -> T -> b, fed by an external source: b runs inside a's context, and
+# dst's FIFO holds a frame, so both run inside src's publish
 CHAIN_CFG = (
     "node src\n pub in demo/Img\n"
     "node a\n sub in demo/Img\n pub T demo/Img\n"
     "node b\n sub T demo/Img\n pub out demo/Img\n"
     "node dst\n sub out demo/Img fifo=8\n"
 )
+# the same chain writing a 1-word link, narrower than a frame: a keeps its thread
+THREADED_CHAIN_CFG = CHAIN_CFG.replace(" sub out demo/Img fifo=8\n", " sub out demo/Img\n")
 
 
 # a publishes T then Y; b, on T, publishes X; q takes Y before X.  Fusing b
@@ -1634,27 +1582,6 @@ def relay(node: str, t_in: str, *t_out: str) -> NodeKernel:
 
 
 class TestExecutionContexts:
-    def test_vehicle_config_runs_two_contexts(self):
-        graph = build_topology(
-            parse_config((VEHICLE / "nodes.cfg").read_text()), load_msg_tree(VEHICLE / "msgs")
-        )
-        kernels = {n.kernel_id: NodeKernel(n.kernel_id, SEQUENTIAL, lambda _: {})
-                   for n in graph.nodes}
-        kernels["camera"] = kernels["actuator"] = EXTERNAL
-        inst = instantiate(graph, kernels)
-        # the light detectors' one-node chains run before the three-node one
-        assert inst.contexts() == {
-            "node:compensate": [
-                "compensate", "red_light", "green_light", "blur", "project", "extract"
-            ],
-            "node:steer": ["steer"],
-        }
-        assert len(inst.channels()) == 5
-        before = set(threading.enumerate())
-        with inst:
-            started = set(threading.enumerate()) - before
-            assert sorted(t.name for t in started) == ["node:compensate", "node:steer"]
-
     @pytest.mark.parametrize(
         "cfg, modes, contexts",
         [
@@ -1664,8 +1591,10 @@ class TestExecutionContexts:
                 {"node:a": ["a", "n"]},
             ),
             (
-                "node a\n pub T demo/Img\nnode n\n sub T demo/Img\n",
-                {"a": EXTERNAL, "n": SEQUENTIAL},
+                # n's exit, a 1-word link, holds no frame: n keeps its thread
+                "node a\n pub T demo/Img\nnode n\n sub T demo/Img\n pub U demo/Img\n"
+                "node d\n sub U demo/Img\n",
+                {"a": EXTERNAL, "n": SEQUENTIAL, "d": EXTERNAL},
                 {"node:n": ["n"]},
             ),
             (
@@ -1750,6 +1679,82 @@ class TestExecutionContexts:
         inst = build(cfg, registry, kernels)
         assert inst.contexts() == contexts
         inst.shutdown()
+
+    @pytest.mark.parametrize(
+        "msg, capacity, contexts",
+        [
+            ("demo/Img", 1, {"node:n": ["n"]}),
+            ("demo/Img", 4, {"caller:a": ["n"]}),
+            ("demo/Blob", 1 << 10, {"node:n": ["n"]}),
+        ],
+        ids=["one-word-link", "one-frame-link", "dynamic-size"],
+    )
+    def test_a_node_fed_by_an_external_publisher(self, registry, msg, capacity, contexts):
+        # n runs in a's publish only where its exit holds a whole frame
+        cfg = (f"node a\n pub T {msg}\nnode n\n sub T {msg}\n pub U {msg}\n"
+               f"node d\n sub U {msg}\n")
+        kernels = {"a": EXTERNAL, "d": EXTERNAL, "n": relay("n", "T", "U")}
+        inst = build(cfg, registry, kernels, default_capacity_words=capacity)
+        assert inst.contexts() == contexts
+        fused = "caller:a" in contexts
+        assert inst.subscriber("n", "T").fused_into == ("caller:a" if fused else None)
+        assert len(inst.channels()) == (1 if fused else 2)
+        before = set(threading.enumerate())
+        inst.start()
+        started = set(threading.enumerate()) - before
+        assert sorted(t.name for t in started) == ([] if fused else ["node:n"])
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("d", "U")
+            value = img(6) if msg == "demo/Img" else {"data": b"blob" * 3}
+            for _ in range(3):  # one thread: publish one, then take one
+                pub.publish_blocking(value)
+                assert sub.take_blocking() == value
+            assert not inst.faults
+
+    @pytest.mark.parametrize("capacity", [1, 4800], ids=["one-word-links", "one-frame-links"])
+    def test_vehicle_config_runs_two_contexts(self, capacity):
+        graph = build_topology(
+            parse_config((VEHICLE / "nodes.cfg").read_text()), load_msg_tree(VEHICLE / "msgs")
+        )
+
+        def steer(ports):
+            center = ports.sub("center").take_blocking()
+            for topic in ("stop_events", "go_events"):
+                while ports.sub(topic).take_try() is not None:
+                    pass
+            ports.pub("command").publish_blocking({"speed": center["x"], "turn": 0.0})
+
+        kernels = {
+            "camera": EXTERNAL, "actuator": EXTERNAL,
+            "compensate": relay("compensate", "raw", "plane"),
+            "blur": relay("blur", "plane", "smooth"),
+            "project": relay("project", "smooth", "birdseye"),
+            "extract": NodeKernel("extract", SEQUENTIAL, lambda inputs: {
+                "center": {"x": float(inputs["birdseye"]["pixels"][0]), "y": 0.0}}),
+            "red_light": NodeKernel("red_light", SEQUENTIAL, lambda inputs: {
+                "stop_events": {"state": 0, "stamp": inputs["plane"]["pixels"][0]}}),
+            "green_light": NodeKernel("green_light", SEQUENTIAL, lambda inputs: {}),
+            "steer": NodeKernel("steer", DATAFLOW, steer),
+        }
+        inst = instantiate(graph, kernels, RuntimeConfig(default_capacity_words=capacity))
+        # the light detectors' one-node chains run before the three-node one
+        chain = ["compensate", "red_light", "green_light", "blur", "project", "extract"]
+        if capacity == 1:  # the center link holds no frame: compensate keeps its thread
+            assert inst.contexts() == {"node:compensate": chain, "node:steer": ["steer"]}
+            assert len(inst.channels()) == 5
+        else:
+            assert inst.contexts() == {"caller:camera": chain, "node:steer": ["steer"]}
+            assert len(inst.channels()) == 4
+        before = set(threading.enumerate())
+        inst.start()
+        started = sorted(t.name for t in set(threading.enumerate()) - before)
+        assert started == [name for name in inst.contexts() if name.startswith("node:")]
+        with inst, watchdog(inst):
+            camera, actuator = inst.publisher("camera", "raw"), inst.subscriber("actuator", "command")
+            for k in range(3):  # one thread: publish one, then take one
+                camera.publish_blocking({"pixels": bytes([k]) * 19200})
+                assert actuator.take_blocking()["speed"] == k
+            assert not inst.faults
 
     def test_reconvergent_paths_deliver_over_one_word_links(self, registry):
         kernels = {"src": EXTERNAL, "dst": EXTERNAL, "a": relay("a", "in", "T", "Y"),
@@ -1870,7 +1875,8 @@ class TestExecutionContexts:
 
         kernels = {"src": EXTERNAL, "dst": EXTERNAL, "a": relay("a", "in", "T"),
                    "b": NodeKernel("b", SEQUENTIAL, b_body)}
-        inst = build(CHAIN_CFG, registry, kernels, trace=True, clock=itertools.count(1).__next__)
+        inst = build(THREADED_CHAIN_CFG, registry, kernels, trace=True,
+                     clock=itertools.count(1).__next__)
         assert inst.contexts() == {"node:a": ["a", "b"]}
         n = 3
         with inst, watchdog(inst):
@@ -1893,7 +1899,7 @@ class TestExecutionContexts:
                    "a": relay("a", "in", "T"), "b": relay("b", "T", "out")}
         t_in, t_out = {"a": ("in", "T"), "b": ("T", "out")}[node]
         kernels[node] = relay(node, t_in, t_out, "zz", "aa")
-        inst = build(CHAIN_CFG, registry, kernels, default_capacity_words=8)
+        inst = build(THREADED_CHAIN_CFG, registry, kernels)
         assert inst.contexts() == {"node:a": ["a", "b"]}
         with inst, watchdog(inst):
             inst.publisher("src", "in").publish_blocking(img(1))
@@ -1909,16 +1915,12 @@ class TestExecutionContexts:
     def test_fused_ports_refuse_channel_operations(self, registry):
         kernels = {"src": EXTERNAL, "dst": EXTERNAL,
                    "a": relay("a", "in", "T"), "b": relay("b", "T", "out")}
-        inst = build(CHAIN_CFG, registry, kernels)
+        inst = build(THREADED_CHAIN_CFG, registry, kernels)
         assert inst.contexts() == {"node:a": ["a", "b"]}
-        sub, pub = inst.subscriber("b", "T"), inst.publisher("a", "T")
+        sub = inst.subscriber("b", "T")
         for take in (sub.take_blocking, sub.take_try, sub.read_chunk):
             with pytest.raises(ValueError, match="node 'b' runs inside context 'node:a'"):
                 take()
-        with pytest.raises(ValueError, match="feeds 'b' by call.*publish_blocking"):
-            pub.publish_try(img(1))
-        with pytest.raises(ValueError, match="feeds 'b' by call.*publish_blocking"):
-            pub.write_chunk(bytes(16), last=True)
         inst.shutdown()
 
     @pytest.mark.parametrize("stages", [1, 3])
@@ -1930,7 +1932,7 @@ class TestExecutionContexts:
             f"node s{i}\n sub {topics[i - 1]} demo/Img\n pub {topics[i]} demo/Img\n"
             for i in range(1, stages + 1)
         )
-        cfg += "node dst\n sub out demo/Img fifo=8\n"
+        cfg += "node dst\n sub out demo/Img\n"  # narrower than a frame: a keeps its thread
 
         def bad(inputs):
             raise RuntimeError("fused kernel exploded")
@@ -1940,7 +1942,7 @@ class TestExecutionContexts:
                    last: NodeKernel(last, SEQUENTIAL, bad)}
         for i in range(1, stages):
             kernels[f"s{i}"] = relay(f"s{i}", topics[i - 1], topics[i])
-        inst = build(cfg, registry, kernels, default_capacity_words=8)
+        inst = build(cfg, registry, kernels)
         assert inst.contexts() == {"node:a": ["a"] + [f"s{i}" for i in range(1, stages + 1)]}
         before = set(threading.enumerate())
         with inst:
@@ -1976,8 +1978,8 @@ class TestExecutionContexts:
                 src.publish_blocking(img(1, i))
             assert [dst.take_blocking()["data"][1] for _ in range(2)] == [0, 1]
             time.sleep(0.1)
-            assert not src.publish_try(img(1, 5))
             assert inst.subscriber("a", "in").channel.frames_buffered() == 1
+            assert inst.subscriber("a", "in").channel.free_words() == 0
             assert inst.publisher("a", "T").last_times.seq == 3
             assert dst.take_try() is None
         t0 = time.monotonic()
@@ -2019,13 +2021,186 @@ class TestExecutionContexts:
             assert [dc.take_blocking()["data"][1] for _ in range(3)] == [0, 1, 2]
             time.sleep(0.1)
             assert db.take_try() is None and dc.take_try() is None
-            assert not src.publish_try(img(1, 5))
+            assert inst.subscriber("a", "in").channel.free_words() == 0
             assert inst.publisher("a", "T").last_times.seq == 3
         t0 = time.monotonic()
         inst.shutdown()
         assert time.monotonic() - t0 < 1.0
         assert not [t.name for t in started if t.is_alive()]
         assert not inst.faults
+
+
+# a -> T -> n -> U -> d; on links of one frame (4 words) n runs in a's publish
+LINE_CFG = ("node a\n pub T demo/Img\nnode n\n sub T demo/Img\n pub U demo/Img\n"
+            "node d\n sub U demo/Img\n")
+
+
+class TestCallerChains:
+    """Chains fused into an EXTERNAL publisher run inside the caller's publish."""
+
+    def line(self, registry, body):
+        kernels = {"a": EXTERNAL, "d": EXTERNAL, "n": NodeKernel("n", SEQUENTIAL, body)}
+        inst = build(LINE_CFG, registry, kernels, default_capacity_words=4)
+        assert inst.contexts() == {"caller:a": ["n"]}
+        return inst, inst.publisher("a", "T"), inst.subscriber("d", "U")
+
+    def test_fused_ports_name_the_callers_context(self, registry):
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL,
+                   "a": relay("a", "in", "T"), "b": relay("b", "T", "out")}
+        inst = build(CHAIN_CFG, registry, kernels)
+        assert inst.contexts() == {"caller:src": ["a", "b"]}
+        for node, topic in (("a", "in"), ("b", "T")):
+            sub = inst.subscriber(node, topic)
+            assert sub.fused_into == "caller:src"
+            with pytest.raises(ValueError, match=f"node {node!r} runs inside context 'caller:src'"):
+                sub.take_try()
+        assert inst.publisher("src", "in").fused == (inst.subscriber("a", "in"),)
+        inst.shutdown()
+
+    def test_a_fault_fails_the_callers_publish_and_is_recorded_under_its_node(self, registry):
+        def bad(inputs):
+            raise RuntimeError("kernel exploded")
+
+        kernels = {"src": EXTERNAL, "dst": EXTERNAL, "a": relay("a", "in", "T"),
+                   "b": NodeKernel("b", SEQUENTIAL, bad)}
+        inst = build(CHAIN_CFG, registry, kernels)
+        assert inst.contexts() == {"caller:src": ["a", "b"]}
+        before = set(threading.enumerate())
+        with inst:
+            assert set(threading.enumerate()) == before
+            with pytest.raises(ShutdownError, match="node b faulted") as raised:
+                inst.publisher("src", "in").publish_blocking(img(1))
+            assert [(f.node, str(f.error)) for f in inst.faults] == [("b", "kernel exploded")]
+            assert raised.value.__cause__ is inst.faults[0].error
+            assert inst.closed
+            with pytest.raises(ShutdownError):
+                inst.publisher("src", "in").publish_blocking(img(2))
+
+    def test_an_interrupt_in_the_chain_stops_the_instance_and_reaches_the_caller(self, registry):
+        def interrupted(inputs):
+            raise KeyboardInterrupt
+
+        inst, pub, _ = self.line(registry, interrupted)
+        with inst:
+            with pytest.raises(KeyboardInterrupt):
+                pub.publish_blocking(img(1))
+            assert [(f.node, type(f.error)) for f in inst.faults] == [("n", KeyboardInterrupt)]
+            assert inst.closed
+
+    def test_stop_kernel_parks_the_next_publish_until_shutdown(self, registry):
+        def one_then_stop(inputs):
+            if inputs["T"]["data"][1] == 1:
+                raise StopKernel()
+            return {"U": inputs["T"]}
+
+        inst, pub, sub = self.line(registry, one_then_stop)
+        raised = []
+
+        def publish():
+            try:
+                pub.publish_blocking(img(1, 2))
+            except BaseException as e:  # noqa: BLE001 - checked below
+                raised.append(e)
+
+        with inst, watchdog(inst):
+            pub.publish_blocking(img(1, 0))
+            assert sub.take_blocking() == img(1, 0)
+            pub.publish_blocking(img(1, 1))  # stops n, and returns
+            caller = threading.Thread(target=publish)
+            caller.start()
+            time.sleep(0.1)
+            assert caller.is_alive() and not raised
+            t0 = time.monotonic()
+            inst.shutdown()
+            join_all([caller], 1.0)
+            assert time.monotonic() - t0 < 1.0
+        assert [type(e) for e in raised] == [ShutdownError]
+        assert not inst.faults
+
+    @pytest.mark.parametrize("cfg", [LINE_CFG, LINE_CFG + "node e\n sub T demo/Img fifo=1\n"],
+                             ids=["fed-by-call-only", "with-a-channel"])
+    def test_a_write_chunk_frame_reaches_the_chain_like_a_published_one(self, registry, cfg):
+        seen = []  # (value, its FrameTimes) as n received them
+
+        def body(inputs):
+            seen.append((inputs["T"], inst.subscriber("n", "T").last_times))
+            return {"U": inputs["T"]}
+
+        kernels = {"a": EXTERNAL, "d": EXTERNAL, "e": EXTERNAL, "n": NodeKernel("n", SEQUENTIAL, body)}
+        inst = build(cfg, registry, kernels, default_capacity_words=4, trace=True)
+        assert inst.contexts() == {"caller:a": ["n"]}
+        with inst, watchdog(inst):
+            pub, sub = inst.publisher("a", "T"), inst.subscriber("d", "U")
+            value = img(8, 3)
+            others = [inst.subscriber("e", "T")] if "node e" in cfg else []
+            pub.publish_blocking(value)
+            published = pub.last_times
+            assert [p.take_blocking() for p in (sub, *others)] == [value] * (1 + len(others))
+            frame = serialize(value, pub.plan).payload
+            pub.write_chunk(frame[:4])  # a whole word, by reference
+            pub.write_chunk(frame[4:10])  # a sub-word tail is held back
+            assert not seen[1:]  # the chain runs with the frame's last chunk
+            pub.write_chunk(frame[10:], last=True)
+            chunked = pub.last_times
+            assert [p.take_blocking() for p in (sub, *others)] == [value] * (1 + len(others))
+        assert [v for v, _ in seen] == [value, value]
+        assert chunked.seq == published.seq + 1
+        for (_, times), pub_times in zip(seen, (published, chunked)):
+            assert None not in times and times[:5] == pub_times[:5] and pub_times[5:] == (None, None)
+            assert times.t_first_sent <= times.t_last_sent <= times.t_first_recv <= times.t_last_recv
+        events = inst.trace.events()
+        assert all(times in events for _, times in seen)
+
+    def test_a_publish_before_start_waits_for_start(self, registry):
+        ran = []
+        inst, pub, sub = self.line(registry, lambda inputs: ran.append(1) or {"U": inputs["T"]})
+        with watchdog(inst):
+            caller = threading.Thread(target=pub.publish_blocking, args=(img(1),))
+            caller.start()
+            time.sleep(0.1)
+            assert caller.is_alive() and not ran
+            inst.start()
+            join_all([caller], 1.0)
+            assert ran == [1]
+            assert sub.take_blocking() == img(1)
+        inst.shutdown()
+        with pytest.raises(ShutdownError):
+            pub.publish_blocking(img(2))
+        assert ran == [1]
+
+    def test_a_publish_before_start_fails_at_shutdown_without_running_the_chain(self, registry):
+        ran, raised = [], []
+        inst, pub, _ = self.line(registry, lambda inputs: ran.append(1) or {"U": inputs["T"]})
+
+        def publish():
+            try:
+                pub.publish_blocking(img(1))
+            except BaseException as e:  # noqa: BLE001 - checked below
+                raised.append(e)
+
+        caller = threading.Thread(target=publish)
+        caller.start()
+        time.sleep(0.1)
+        assert caller.is_alive()
+        inst.shutdown()
+        join_all([caller], 1.0)
+        assert [type(e) for e in raised] == [ShutdownError] and not ran
+        inst.start()  # a closed instance does not start
+        assert not ran and inst.closed
+
+    def test_the_caller_runs_one_frame_ahead(self, registry):
+        # d's link holds the one frame; the next publish waits for its take
+        inst, pub, sub = self.line(registry, lambda inputs: {"U": inputs["T"]})
+        with inst, watchdog(inst):
+            pub.publish_blocking(img(2, 0))
+            caller = threading.Thread(target=pub.publish_blocking, args=(img(2, 1),))
+            caller.start()
+            time.sleep(0.1)
+            assert caller.is_alive()
+            assert sub.take_blocking() == img(2, 0)
+            join_all([caller], 1.0)
+            assert sub.take_blocking() == img(2, 1)
+            assert not inst.faults
 
 
 class TestInstantiate:
