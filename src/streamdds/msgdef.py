@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Union
+from typing import TYPE_CHECKING, Callable, Iterable, Union
 
 if TYPE_CHECKING:
     from .serde import Codec
@@ -404,13 +404,15 @@ class SerializationPlan:
 
     ``fixed_size_bytes`` is present only when no slot is dynamic, and then
     equals the sum of all slot widths (pre-padding).  ``codec`` is the
-    plan compiled for ``serde.serialize`` and ``serde.deserialize``.
+    plan compiled for ``serde.serialize`` and ``serde.deserialize``, and
+    ``copy`` the type's ``serde.copier``, which copies a decoded value.
     """
 
     type_name: str
     slots: tuple[Slot, ...]
     fixed_size_bytes: int | None
     codec: Codec = field(compare=False, repr=False)
+    copy: Callable[[dict], dict] = field(compare=False, repr=False)
 
     @property
     def is_fixed_size(self) -> bool:
@@ -481,9 +483,12 @@ def flatten(registry: TypeRegistry, type_name: str) -> SerializationPlan:
             fixed = None
             break
         fixed += width
-    return SerializationPlan(type_name, slots, fixed, _serde.Codec(registry, type_name, slots))
+    return SerializationPlan(
+        type_name, slots, fixed, _serde.Codec(registry, type_name, slots),
+        _serde.copier(registry, type_name),
+    )
 
 
 # serde imports the names above, so it is imported last; flatten looks its
-# Codec up when called
+# Codec and copier up when called
 from . import serde as _serde  # noqa: E402

@@ -43,6 +43,17 @@ is copied into the buffer, and the codec copies byte arrays out of it; a
 joined in one copy.  At most one frame per park bypasses the channel;
 after it, the channel's capacity and backpressure apply as before.
 
+A frame that fans out to several subscribers, through channels or by call,
+is decoded once.  Its ``FrameMeta``, which they all share, says so, and the
+first subscriber to finish the frame leaves the decoded value there, where
+it lives until the frame's last subscriber took it.  Every subscriber, that
+first one included, gets a copy of its own (``serde.copier``): new dicts
+and lists over the same strings, numbers and ``bytes``, so none sees what
+another changes in its value.  The value never views a port's reassembly
+buffer, since the codec copies every string and byte array out of the
+frame.  A frame for a single subscriber is decoded for it and handed over
+uncopied.
+
 Delivery follows keep-all/reliable semantics throughout: a full buffer
 blocks the writer and nothing is dropped.  Blocking operations park on a
 per-context ``Waker``, a bare lock, rather than spinning; shutdown closes
@@ -185,13 +196,20 @@ class GrowBuffer:
 
 @dataclass(slots=True)
 class FrameMeta:
-    """Sideband frame identity travelling with the end-of-message marker."""
+    """Sideband frame identity travelling with the end-of-message marker.
+
+    Every channel and fused subscriber of a frame shares its meta.
+    ``fanout`` says the frame goes to more than one of them, and ``value``
+    then holds the frame once decoded (``_value_of``).
+    """
 
     topic: str
     publisher: str
     seq: int
     t_first_sent: int | None = None
     t_last_sent: int | None = None
+    fanout: bool = False
+    value: MessageValue | None = None
 
 
 class FrameTimes(NamedTuple):
@@ -506,6 +524,11 @@ class PortHandle:
     held as well (``_add``).  A frame finished while a wait unwinds is kept
     for the next take.  ``take_try`` and ``read_chunk`` never park.
 
+    A frame a publisher sends to more than one channel or fused subscriber
+    is decoded by the first subscriber to finish it, and each gets its own
+    copy of that value, which stays on the frame's meta until the last one
+    took it (``_value_of``).
+
     Publishing hands ``bytes`` to the channels by reference (a ``uint8``
     array value from ``serde.VIEW_MIN_BYTES``, or a word-aligned
     ``write_chunk``); other buffers are copied, since the caller may change
@@ -589,7 +612,8 @@ class PortHandle:
     # -- publisher --------------------------------------------------------
 
     def _new_meta(self) -> FrameMeta:
-        meta = FrameMeta(self.topic, self.node, self._seq)
+        fanout = len(self.channels) + len(self.fused) > 1
+        meta = FrameMeta(self.topic, self.node, self._seq, fanout=fanout)
         self._seq += 1
         return meta
 
@@ -813,9 +837,9 @@ class PortHandle:
                         channel.unpark(self)
 
     def _complete(self, pieces, meta: FrameMeta, first_t: int, last_t: int) -> MessageValue:
-        """Stamp a whole frame and decode it from its ``pieces``."""
+        """Stamp a whole frame and return its value, decoded from its ``pieces``."""
         self._finish_frame(meta, first_t, last_t)
-        return deserialize_segments(pieces, self.plan)
+        return _value_of(pieces, meta, self.plan)
 
     def take_blocking(self) -> MessageValue:
         """Receive the oldest complete message, waiting as long as needed."""
@@ -1078,7 +1102,7 @@ class RuntimeInstance:
             try:
                 t = clock()
                 sub._finish_frame(meta, t, t)
-                _run_body(kernel, {topic: deserialize_segments(segments, plan)}, pubs)
+                _run_body(kernel, {topic: _value_of(segments, meta, plan)}, pubs)
             except ShutdownError:
                 raise
             except StopKernel:
@@ -1090,6 +1114,24 @@ class RuntimeInstance:
                 raise ShutdownError(f"node {node} faulted") from e
 
         return deliver
+
+
+def _value_of(pieces, meta: FrameMeta | None, plan: SerializationPlan) -> MessageValue:
+    """One subscriber's value of a frame, decoded from its ``pieces``.
+
+    A frame that fans out (``meta.fanout``) is decoded once: the first
+    subscriber to get here leaves the value on the frame's meta, and every
+    subscriber, that one included, gets a copy of it with dicts and lists of
+    its own (``plan.copy``).  Two that race both decode, which is harmless;
+    a frame that does not decode is not kept, so each subscriber raises its
+    own error.  Any other frame is decoded and handed out as it is.
+    """
+    if meta is None or not meta.fanout:
+        return deserialize_segments(pieces, plan)
+    value = meta.value
+    if value is None:
+        value = meta.value = deserialize_segments(pieces, plan)
+    return plan.copy(value)
 
 
 def _run_body(kernel: NodeKernel, inputs: dict, pubs: dict[str, PortHandle]) -> None:

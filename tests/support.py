@@ -206,6 +206,20 @@ def reference_frame(registry: TypeRegistry, type_name: str, value: dict) -> byte
     return bytes(out + bytes(-len(out) % 4))
 
 
+def shared_containers(a, b, path: str = "") -> list:
+    """The paths at which the equal trees ``a`` and ``b`` hold one dict or list object."""
+    if not isinstance(a, (dict, list)):
+        return []
+    found = [path or "<root>"] if a is b else []
+    if isinstance(a, dict):
+        for key, v in a.items():
+            found += shared_containers(v, b[key], f"{path}.{key}")
+    else:
+        for k, v in enumerate(a):
+            found += shared_containers(v, b[k], f"{path}[{k}]")
+    return found
+
+
 def two_pass_stats(samples):
     """Reference mean / population sigma via numpy."""
     import numpy as np

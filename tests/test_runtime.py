@@ -9,9 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from streamdds import serde
+from streamdds import runtime, serde
 from streamdds.msgdef import TypeRegistry, load_msg_tree, parse_msg_file
-from streamdds.serde import VIEW_MIN_BYTES, serialize, serialize_segments
+from streamdds.serde import VIEW_MIN_BYTES, DeserializationError, serialize, serialize_segments
 from streamdds.runtime import (
     DATAFLOW,
     EXTERNAL,
@@ -32,7 +32,7 @@ from streamdds.runtime import (
 )
 from streamdds.topology import AppSpec, NodeSpec, PortSpec, build_topology, parse_config
 
-from support import count_joined, reference_frame
+from support import count_joined, reference_frame, shared_containers
 
 
 def build(cfg: str, registry, kernels, **config_kw):
@@ -1383,6 +1383,208 @@ class TestBroadcaster:
             pub.publish_blocking(img(0, 1))
             assert staged == []
             assert [b.take_try(), c.take_try()] == [img(0, 1)] * 2
+
+
+def count_decodes(monkeypatch) -> list:
+    """Record each value the runtime decodes from a frame's pieces."""
+    values = []
+    decode = runtime.deserialize_segments
+
+    def counted(pieces, plan):
+        values.append(decode(pieces, plan))
+        return values[-1]
+
+    monkeypatch.setattr(runtime, "deserialize_segments", counted)
+    return values
+
+
+@pytest.fixture
+def tracks():
+    reg = TypeRegistry()
+    reg.register(parse_msg_file("float64 x\nstring tag", "demo/Point"))
+    reg.register(parse_msg_file(
+        "Point p\nPoint[2] ends\nPoint[] path\nint32[3] ids\nstring[] names\nuint8[] data",
+        "demo/Track",
+    ))
+    return reg.resolve()
+
+
+def track(k: int) -> dict:
+    """A value of ``demo/Track`` with nested dicts and lists at every level."""
+    return {
+        "p": {"x": 0.5 * k, "tag": f"p{k}"},
+        "ends": [{"x": -1.0, "tag": "start"}, {"x": 1.0, "tag": "end"}],
+        "path": [{"x": float(i), "tag": f"{k}.{i}"} for i in range(k % 4 + 1)],
+        "ids": [k, k + 1, k + 2],
+        "names": ["n", str(k)],
+        "data": bytes([k % 256]) * (k % 7 + 1),
+    }
+
+
+def scribble(value: dict) -> None:
+    """Change a ``demo/Track`` value in place, in its nested dicts and lists."""
+    value["p"]["x"] = -99.0
+    value["ends"][0]["tag"] = "changed"
+    value["path"][0]["x"] = 99.0
+    value["path"].append({"x": 0.0, "tag": "extra"})
+    value["ids"][1] = -7
+    value["names"].clear()
+    value["extra"] = True
+
+
+class TestBroadcastDecodedOnce:
+    """A frame broadcast to several subscribers is decoded once; each gets a copy of its own."""
+
+    THREE = "node a\n pub T demo/Track\n" + "".join(
+        f"node {n}\n sub T demo/Track\n" for n in "bcd"
+    )
+
+    @pytest.mark.parametrize("first", range(3), ids=["parked", "queued", "polled"])
+    def test_the_first_to_take_changes_only_its_own_value(self, tracks, monkeypatch, first):
+        decoded = count_decodes(monkeypatch)
+        inst = build(self.THREE, tracks, {n: EXTERNAL for n in "abcd"},
+                     default_capacity_words=256)
+        with inst, watchdog(inst):
+            pub = inst.publisher("a", "T")
+            parked, queued, polled = (inst.subscriber(n, "T") for n in "bcd")
+            parked.waker = parked.channel.reader_waker = waker = GatedWaker()
+            for k in range(4):
+                waker.gate.clear()
+                reader, out, _ = TestTakeByReference.take_in_thread(parked)
+                wait_parked(parked)
+                pub.publish_blocking(track(k))
+                assert parked._rx_done is not None  # handed over by reference
+                assert queued.channel.frames_buffered() == polled.channel.frames_buffered() == 1
+
+                def take_parked():
+                    waker.gate.set()
+                    join_all([reader])
+                    return out[0]
+
+                takes = [take_parked, queued.take_blocking, polled.take_try]
+                takes = takes[first:] + takes[:first]
+                values = [takes[0]()]
+                scribble(values[0])
+                values += [take() for take in takes[1:]]
+                assert values[1:] == [track(k)] * 2
+                assert len(decoded) == k + 1
+                assert all(v is not decoded[-1] for v in values)  # each got a copy
+                assert shared_containers(values[1], values[2]) == []
+                assert queued._rx_len == 0 and len(queued._rx.buf) > 0  # read via the buffer
+
+    def test_a_single_subscriber_gets_the_decoded_value_itself(self, tracks, monkeypatch):
+        decoded = count_decodes(monkeypatch)
+        inst = build("node a\n pub T demo/Track\nnode b\n sub T demo/Track\n", tracks,
+                     {"a": EXTERNAL, "b": EXTERNAL}, default_capacity_words=256)
+        with inst, watchdog(inst):
+            inst.publisher("a", "T").publish_blocking(track(1))
+            value = inst.subscriber("b", "T").take_try()
+        assert value == track(1) and decoded == [value] and decoded[0] is value
+
+    def test_a_fused_sibling_gets_the_value_as_sent(self, tracks, monkeypatch):
+        decoded = count_decodes(monkeypatch)
+        sent, seen = [], []
+
+        def body(node):
+            def run(inputs):
+                seen.append((node, inputs["T"] == sent[-1]))
+                scribble(inputs["T"])
+                return {}
+            return NodeKernel(node, SEQUENTIAL, run)
+
+        inst = build(self.THREE, tracks,
+                     {"a": EXTERNAL, "b": EXTERNAL, "c": body("c"), "d": body("d")},
+                     default_capacity_words=256)
+        assert inst.contexts() == {"caller:a": ["c", "d"]}
+        with inst, watchdog(inst):
+            pub, queued = inst.publisher("a", "T"), inst.subscriber("b", "T")
+            for k in range(3):
+                sent.append(track(k))
+                pub.publish_blocking(track(k))
+                assert queued.take_blocking() == track(k)
+        assert seen == [("c", True), ("d", True)] * 3
+        assert len(decoded) == 3
+
+    def test_a_cached_value_does_not_view_a_reassembly_buffer(self, tracks, monkeypatch):
+        decoded = count_decodes(monkeypatch)
+        inst = build(self.THREE, tracks, {n: EXTERNAL for n in "abcd"},
+                     default_capacity_words=256)
+        with inst, watchdog(inst):
+            pub = inst.publisher("a", "T")
+            first, second = inst.subscriber("b", "T"), inst.subscriber("c", "T")
+            frames = [track(1), {**track(1), "names": ["x", "y"], "data": b"\xff" * 2}]
+            for value in frames:
+                pub.publish_blocking(value)
+            # b reads both frames into its reassembly buffer, the second over the first
+            assert [first.take_try(), first.take_try()] == frames
+            assert [second.take_try(), second.take_try()] == frames
+            assert inst.subscriber("d", "T").take_try() == frames[0]
+        assert len(decoded) == 2
+
+    def test_a_frame_that_does_not_decode_fails_at_every_subscriber(self, tracks, monkeypatch):
+        decoded = count_decodes(monkeypatch)
+        inst = build(self.THREE, tracks, {n: EXTERNAL for n in "abcd"},
+                     default_capacity_words=256)
+        with inst, watchdog(inst):
+            pub = inst.publisher("a", "T")
+            subs = [inst.subscriber(n, "T") for n in "bc"]
+            pub.write_chunk(b"\xff" * 12, last=True)  # a string length past the end
+            pub.publish_blocking(track(2))
+            for sub in subs:
+                with pytest.raises(DeserializationError, match="^truncated frame"):
+                    sub.take_try()
+            assert [sub.take_try() for sub in subs] == [track(2)] * 2
+        assert len(decoded) == 1
+
+
+class TestBroadcastRace:
+    """Subscribers that finish a broadcast frame at once race to decode it."""
+
+    CFG = "node a\n pub T demo/Track\nnode b\n sub T demo/Track\nnode c\n sub T demo/Track\n"
+
+    @pytest.mark.parametrize("capacity", [8, 256], ids=["chunked", "whole"])
+    def test_racing_takes_each_get_every_frame_as_a_value_of_their_own(
+        self, tracks, monkeypatch, capacity
+    ):
+        n = 300
+        inst = build(self.CFG, tracks, {node: EXTERNAL for node in "abc"},
+                     default_capacity_words=capacity)
+        # both takes of frame 0 decode it: each waits inside the decode for the other
+        both = threading.Barrier(2, timeout=DEADLINE_S)
+        calls = []
+        decode = runtime.deserialize_segments
+
+        def racing(pieces, plan):
+            calls.append(plan)
+            if len(calls) <= 2:
+                both.wait()
+            return decode(pieces, plan)
+
+        monkeypatch.setattr(runtime, "deserialize_segments", racing)
+        got = {"b": [], "c": []}
+
+        def drain(node):
+            sub = inst.subscriber(node, "T")
+            for k in range(n):
+                value = sub.take_blocking()
+                got[node].append(value == track(k))
+                scribble(value)  # visible to the other take if they shared it
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with inst, watchdog(inst):
+                drains = [threading.Thread(target=drain, args=(node,)) for node in "bc"]
+                for t in drains:
+                    t.start()
+                pub = inst.publisher("a", "T")
+                for k in range(n):
+                    pub.publish_blocking(track(k))
+                join_all(drains)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == {"b": [True] * n, "c": [True] * n}
+        assert n + 1 <= len(calls) <= 2 * n
 
 
 class TestNodesAndModes:

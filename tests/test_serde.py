@@ -26,6 +26,7 @@ from support import (
     random_registry,
     random_value,
     reference_frame,
+    shared_containers,
 )
 
 
@@ -611,6 +612,12 @@ class TestEmptyNestedType:
             assert str(err.value) == f"{prefix}{key}: {reason}"
             assert conforms_to(value, registry.get(root), registry) == (False, prefix + key)
 
+    @WHERE
+    def test_copy_has_dicts_of_its_own(self, registry, root, prefix):
+        decoded, copy = TestCopier.check(flatten(registry, root), self.value(root))
+        m, m_copy = (decoded, copy) if root == "t/M" else (decoded["items"][1], copy["items"][1])
+        assert m_copy["e"] == {} and m_copy["e"] is not m["e"]
+
     def test_unbounded_group_count_is_bounded(self, registry):
         # nothing else limits how many values a frame's count makes
         for declared, n in [("Empty[] g", 65536), ("Empty[<=70000] g", 70000)]:
@@ -624,6 +631,62 @@ class TestEmptyNestedType:
             value = {"g": [{}] * 65535}
             assert deserialize(serialize(value, plan), plan) == value
             assert conforms_to(value, reg.get("t/U"), reg) == (True, None)
+
+
+class TestCopier:
+    """``plan.copy`` copies a decoded value: equal, with no dict or list of the original."""
+
+    @staticmethod
+    def check(plan, value) -> tuple[dict, dict]:
+        decoded = deserialize(serialize(value, plan), plan)
+        copy = plan.copy(decoded)
+        assert copy == decoded == value
+        assert shared_containers(decoded, copy) == []
+        return decoded, copy
+
+    def test_seeded_sweep(self):
+        rng = random.Random(20261022)
+        for _ in range(200):
+            registry, root = random_registry(rng)
+            self.check(flatten(registry, root), random_value(rng, registry, root))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10**9))
+    def test_property_copy_shares_no_container(self, seed):
+        rng = random.Random(seed)
+        registry, root = random_registry(rng)
+        self.check(flatten(registry, root), random_value(rng, registry, root))
+
+    def test_arrays_of_primitives_are_new_lists_and_uint8_arrays_shared_bytes(self):
+        _, plan = plan_for(
+            "string[2] s\nbool[3] b\nfloat32[2] f\nfloat64[] d\nint16[<=4] i\n"
+            "uint8[3] u\nuint8[] v\nstring name"
+        )
+        value = {"s": ["x", "yz"], "b": [True, False, True], "f": [0.5, -2.0], "d": [1e300],
+                 "i": [1, -2], "u": b"abc", "v": b"defg", "name": "n"}
+        decoded, copy = self.check(plan, value)
+        for key in "sbfdi":  # the fixed ones are lists split out of a run (``_regroup``)
+            assert copy[key].__class__ is list and copy[key] is not decoded[key]
+        for key in "uv":
+            assert copy[key].__class__ is bytes and copy[key] is decoded[key]
+
+    def test_nested_values_at_every_level(self):
+        reg = TypeRegistry()
+        reg.register(parse_msg_file("float64 x\nint32[2] ids", "t/P"))
+        reg.register(parse_msg_file("P p\nP[2] pair\nP[<=3] few", "t/Q"))
+        reg.register(parse_msg_file("Q q\nQ[2] qs\nQ[] more\nuint8 tail", "t/M"))
+        reg = reg.resolve()
+        p = {"x": 1.0, "ids": [1, 2]}
+        q = {"p": p, "pair": [p, p], "few": [p]}
+        value = {"q": q, "qs": [q, q], "more": [q, {**q, "few": []}], "tail": 9}
+        self.check(flatten(reg, "t/M"), value)
+
+    def test_a_payload_decoded_as_the_publishers_object_stays_that_object(self):
+        _, plan = plan_for("uint32 seq\nuint8[] data")
+        data = random.Random(3).randbytes(VIEW_MIN_BYTES)
+        decoded = deserialize_segments(serialize_segments({"seq": 1, "data": data}, plan), plan)
+        copy = plan.copy(decoded)
+        assert decoded["data"] is data and copy["data"] is data and copy is not decoded
 
 
 # Views from 7 bytes, the least ``append_view`` takes, so that the short
